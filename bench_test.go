@@ -5,6 +5,9 @@
 package mega_test
 
 import (
+	"bytes"
+	"context"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -28,7 +31,7 @@ var (
 	benchSrc  mega.VertexID
 )
 
-func benchWorkload(b *testing.B) (*gen.Evolution, *evolve.Window, *sim.HopGraphs, mega.VertexID) {
+func benchWorkload(b testing.TB) (*gen.Evolution, *evolve.Window, *sim.HopGraphs, mega.VertexID) {
 	b.Helper()
 	benchOnce.Do(func() {
 		spec := gen.GraphSpec{
@@ -312,6 +315,125 @@ func BenchmarkCore_EvaluatePublicAPI(b *testing.B) {
 		if _, err := mega.Evaluate(win, mega.SSSP, src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- Query-path layer ledger: one query priced at each seam ---
+//
+// The same 2k-vertex smoke query through the bare engine, the recovery
+// wrapper without and with a checkpoint consumer, and the query service
+// with sharing off (every Submit is a miss). B/op and allocs/op are the
+// deterministic proxies CI gates on (TestRecoverNoSinkIsPayAsYouGo).
+
+func layerEvaluateContext(b *testing.B) {
+	_, win, _, src := benchWorkload(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mega.EvaluateContext(context.Background(), win, mega.SSSP, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func layerEvaluateRecover(b *testing.B, opt mega.RecoverOptions) {
+	_, win, _, src := benchWorkload(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := mega.EvaluateRecover(context.Background(), win, mega.SSSP, src, mega.BOE, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func discardSink([]byte) error { return nil }
+
+func BenchmarkLayerEvaluateContext(b *testing.B) { layerEvaluateContext(b) }
+
+func BenchmarkLayerEvaluateRecover(b *testing.B) {
+	layerEvaluateRecover(b, mega.RecoverOptions{})
+}
+
+func BenchmarkLayerEvaluateRecoverSink(b *testing.B) {
+	layerEvaluateRecover(b, mega.RecoverOptions{Sink: discardSink})
+}
+
+func BenchmarkLayerSubmitMiss(b *testing.B) {
+	_, win, _, src := benchWorkload(b)
+	svc, err := mega.NewQueryService(mega.ServeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.Submit(context.Background(), mega.QueryRequest{Window: win, Algo: mega.SSSP, Source: src}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Checkpoints a Sink receives from one fault-free smoke query at the
+// default cadence — their count, total bytes, and a CRC over all of them
+// in delivery order — as measured on the commit before recovery became
+// pay-as-you-go. The sink path must stay byte-identical to it.
+const (
+	smokeSinkCheckpoints = 31
+	smokeSinkBytes       = 8_870_226
+	smokeSinkCRC         = 0xd972e0f8
+)
+
+// TestRecoverNoSinkIsPayAsYouGo is the deterministic proxy gate for the
+// recovery wrapper's cost (wired into ci.sh): with no Sink or Store a
+// fault-free EvaluateRecover encodes no checkpoint and allocates within
+// 1.25× of the bare engine, the checkpoint counter families stay
+// registered (at zero) so the metrics contract holds, and a Sink still
+// receives exactly the checkpoints it always did.
+func TestRecoverNoSinkIsPayAsYouGo(t *testing.T) {
+	_, win, _, src := benchWorkload(t)
+
+	reg := mega.NewMetricsRegistry()
+	if _, _, err := mega.EvaluateRecover(context.Background(), win, mega.SSSP, src, mega.BOE,
+		mega.RecoverOptions{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := reg.WriteJSON(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := mega.ValidateMetricsJSON(snap.Bytes(), "checkpoint_taken", "checkpoint_restored", "recover_attempts"); err != nil {
+		t.Errorf("metrics contract: %v", err)
+	}
+	if n := reg.Counter("checkpoint_taken", "engine", "multi").Value(); n != 0 {
+		t.Errorf("no-sink run recorded checkpoint_taken = %d, want 0", n)
+	}
+
+	var count, size int
+	crc := crc32.NewIEEE()
+	sinkReg := mega.NewMetricsRegistry()
+	sink := func(b []byte) error {
+		count++
+		size += len(b)
+		crc.Write(b)
+		return nil
+	}
+	if _, _, err := mega.EvaluateRecover(context.Background(), win, mega.SSSP, src, mega.BOE,
+		mega.RecoverOptions{Sink: sink, Metrics: sinkReg}); err != nil {
+		t.Fatal(err)
+	}
+	if count != smokeSinkCheckpoints || size != smokeSinkBytes || crc.Sum32() != smokeSinkCRC {
+		t.Errorf("sink saw %d checkpoints, %d bytes, crc %#x; want %d, %d, %#x",
+			count, size, crc.Sum32(), smokeSinkCheckpoints, smokeSinkBytes, smokeSinkCRC)
+	}
+	if n := sinkReg.Counter("checkpoint_taken", "engine", "multi").Value(); n != smokeSinkCheckpoints {
+		t.Errorf("sink run recorded checkpoint_taken = %d, want %d", n, smokeSinkCheckpoints)
+	}
+
+	bare := testing.Benchmark(layerEvaluateContext).AllocedBytesPerOp()
+	wrapped := testing.Benchmark(func(b *testing.B) { layerEvaluateRecover(b, mega.RecoverOptions{}) }).AllocedBytesPerOp()
+	t.Logf("B/op: EvaluateContext %d, EvaluateRecover (no sink) %d (%.2fx)", bare, wrapped, float64(wrapped)/float64(bare))
+	if bare == 0 || float64(wrapped) > 1.25*float64(bare) {
+		t.Errorf("no-sink EvaluateRecover allocates %d B/op, over 1.25x EvaluateContext's %d", wrapped, bare)
 	}
 }
 

@@ -28,6 +28,12 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # 2.045x); the pre-coalescing engine measured 3.34x at every worker
 # count, so a regression that reopens the gap fails loudly.
 go run ./cmd/megabench -inflation-gate "${INFLATION_MAX:-2.10}"
+# Pay-as-you-go recovery gate, deterministic like the one above (counts
+# and B/op, no wall-clock): a fault-free EvaluateRecover with no Sink or
+# Store encodes zero checkpoints and allocates within 1.25x of the bare
+# engine, while a Sink still receives the same 31 checkpoints, byte for
+# byte. Run without -race so B/op is the production allocator's.
+go test -count=1 -run '^TestRecoverNoSinkIsPayAsYouGo$' .
 go test -run='^$' -fuzz=FuzzLoadEdgeList -fuzztime="$FUZZTIME" ./internal/gen/
 go test -run='^$' -fuzz=FuzzNewWindowFromParts -fuzztime="$FUZZTIME" ./internal/evolve/
 go test -run='^$' -fuzz=FuzzCheckpointDecode -fuzztime="$FUZZTIME" ./internal/engine/

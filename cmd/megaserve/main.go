@@ -194,7 +194,7 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "server: cross-query result cache budget in bytes (0 disables sharing)")
 	stateDir := flag.String("state-dir", "", "server: durable checkpoint store directory (empty disables crash recovery)")
 	stateBytes := flag.Int64("state-bytes", 0, "server: durable store byte budget (0 = default 256MiB)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "server: checkpoint running queries every N rounds (0 = default 32)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "server: with -state-dir, checkpoint running queries every N rounds (0 = default 32)")
 	var tenantSpecs tenantSpecsFlag
 	flag.Var(&tenantSpecs, "tenants", "server: tenant contract name:weight[:maxrun[:maxqueue[:burst[:cachebytes]]]], repeatable; @FILE reads one per line")
 

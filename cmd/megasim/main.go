@@ -14,9 +14,11 @@
 // synthesizing one.
 //
 // Mode "eval" runs the functional query through the fault-tolerant
-// evaluator: it checkpoints every -checkpoint-every rounds (persisting
-// atomically to -checkpoint when given), retries transient faults from
-// the last checkpoint, falls back from the parallel to the sequential
+// evaluator: with -checkpoint or -state-dir it checkpoints every
+// -checkpoint-every rounds (persisting atomically to -checkpoint) and
+// retries transient faults from the last checkpoint; with neither it
+// encodes no periodic checkpoint and a retry resumes from one taken at
+// the failure itself. It falls back from the parallel to the sequential
 // engine after a worker panic, and with -resume restarts from the
 // persisted checkpoint file. -fault injects deterministic faults using
 // the "site[#shard]:kind[=latency]@visit[xevery]" grammar, e.g.
@@ -111,7 +113,7 @@ func main() {
 	engineFlag := flag.String("engine", "seq", "eval engine: seq or par")
 	workers := flag.Int("workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
 	ckptFile := flag.String("checkpoint", "", "eval: persist checkpoints to this file (atomic rename)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "eval: checkpoint every N rounds (0 = default 32)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "eval: with -checkpoint or -state-dir, checkpoint every N rounds (0 = default 32)")
 	resume := flag.Bool("resume", false, "eval: resume from the -checkpoint file")
 	stateDir := flag.String("state-dir", "", "eval/serve: durable checkpoint store directory (crash-safe resume)")
 	retries := flag.Int("retries", 0, "eval: max restarts after transient faults (0 = default 3)")

@@ -348,11 +348,13 @@ func RunPerfTrajectory(quick bool, procs []int, rounds int, log io.Writer) ([]Pr
 		if p < 1 {
 			return nil, fmt.Errorf("trajectory: procs value %d < 1", p)
 		}
+		// Pin first: the engine captures GOMAXPROCS at construction, and
+		// the events a run processes depend on it.
+		runtime.GOMAXPROCS(p)
 		events, err := countEvents(w, src, p)
 		if err != nil {
 			return nil, fmt.Errorf("trajectory procs=%d: %w", p, err)
 		}
-		runtime.GOMAXPROCS(p)
 		var best testing.BenchmarkResult
 		for round := 0; round < rounds; round++ {
 			r := testing.Benchmark(func(b *testing.B) {

@@ -223,11 +223,15 @@ func TestCrashEquivalenceCrossEngine(t *testing.T) {
 	})
 
 	t.Run("sequential-to-parallel", func(t *testing.T) {
-		// Round boundaries align across engines, so the parallel baseline's
-		// round count sizes the sequential kill too.
-		rounds := counter.Visits(fault.SiteParallelRound, fault.AnyShard)
-		if rounds == 0 {
-			t.Fatal("baseline visited no round boundaries")
+		// Size the kill from the victim's own engine: a sequential
+		// counting run's engine.round visits.
+		seqCounter := fault.NewPlan(1)
+		if err := newEngine(t, w, a, false).RunContext(fault.Inject(context.Background(), seqCounter), s, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		rounds := seqCounter.Visits(fault.SiteEngineRound, fault.AnyShard)
+		if rounds < 2 {
+			t.Fatalf("sequential baseline visited %d round boundaries, want at least 2", rounds)
 		}
 		plan := fault.NewPlan(1).Add(fault.Op{
 			Site: fault.SiteEngineRound, Shard: fault.AnyShard,
@@ -289,6 +293,100 @@ func TestCheckpointOnDemandAfterTransient(t *testing.T) {
 		t.Fatalf("resumed run: %v", err)
 	}
 	sameBits(t, "on-demand", collectSnapshots(resumed, s, w.NumSnapshots()), want)
+}
+
+// TestLiveCheckpointCrossEngine: a failure-time checkpoint is exactly as
+// restorable as a periodic one. A parallel run with no cadence (only
+// EnableLiveCheckpoint) is killed at barrier-round boundaries; Checkpoint
+// of its live state restores into both engines — the sequential engine
+// replays shared-compute broadcasts from the dumped dirty lists — and
+// reproduces the uninterrupted values bit-identically.
+func TestLiveCheckpointCrossEngine(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	w := testMultiWindow(t, 6, 85)
+	a := algo.New(algo.SSSP)
+	s, err := sched.New(sched.BOE, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newLive := func() *Parallel {
+		p, err := NewParallel(w, a, 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.EnableLiveCheckpoint()
+		return p
+	}
+	counter := fault.NewPlan(1)
+	base := newLive()
+	if err := base.RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	want := collectSnapshots(base, s, w.NumSnapshots())
+	if base.LastCheckpoint() != nil {
+		t.Fatal("a run with no cadence took an automatic checkpoint")
+	}
+
+	for _, kill := range killVisits(counter.Visits(fault.SiteParallelRound, fault.AnyShard)) {
+		plan := fault.NewPlan(1).Add(fault.Op{
+			Site: fault.SiteParallelRound, Shard: fault.AnyShard,
+			Kind: fault.KindTransient, Visit: kill,
+		})
+		victim := newLive()
+		if err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{}); !megaerr.IsTransient(err) {
+			t.Fatalf("kill@%d: run returned %v, want a transient fault", kill, err)
+		}
+		ckpt, err := victim.Checkpoint()
+		if err != nil {
+			t.Fatalf("kill@%d: Checkpoint: %v", kill, err)
+		}
+		for _, parallel := range []bool{false, true} {
+			resumed := newEngine(t, w, a, parallel)
+			if err := resumed.Restore(ckpt); err != nil {
+				t.Fatalf("kill@%d: Restore: %v", kill, err)
+			}
+			if err := resumed.RunContext(context.Background(), s, Limits{}); err != nil {
+				t.Fatalf("kill@%d: resumed run: %v", kill, err)
+			}
+			sameBits(t, "live checkpoint", collectSnapshots(resumed, s, w.NumSnapshots()), want)
+		}
+	}
+}
+
+// TestCheckpointRefusesTornState: Parallel.Checkpoint returns an error,
+// never bytes, when a worker phase recorded a fault or a panic (mid-phase
+// state is torn) and mid-stage on an engine that tracked no dirty
+// vertices (the sequential engine could not replay its broadcasts).
+func TestCheckpointRefusesTornState(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	w := testMultiWindow(t, 6, 86)
+	a := algo.New(algo.SSSP)
+	s, _ := sched.New(sched.BOE, w)
+	for _, tc := range []struct {
+		name string
+		op   fault.Op
+		live bool
+	}{
+		{"phase-transient", fault.Op{Site: fault.SiteParallelPhase, Shard: 1, Kind: fault.KindTransient, Visit: 4}, true},
+		{"phase-panic", fault.Op{Site: fault.SiteParallelPhase, Shard: 1, Kind: fault.KindPanic, Visit: 4}, true},
+		{"no-dirty-tracking", fault.Op{Site: fault.SiteParallelRound, Shard: fault.AnyShard, Kind: fault.KindTransient, Visit: 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewParallel(w, a, 0, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.live {
+				p.EnableLiveCheckpoint()
+			}
+			if err := p.RunContext(fault.Inject(context.Background(), fault.NewPlan(1).Add(tc.op)), s, Limits{}); err == nil {
+				t.Fatal("run survived the injected fault")
+			}
+			if ckpt, err := p.Checkpoint(); err == nil {
+				t.Fatalf("Checkpoint returned %d bytes, want a refusal", len(ckpt))
+			}
+		})
+	}
 }
 
 // TestCheckpointCompletedRunRoundTrips: a checkpoint of a finished run

@@ -113,8 +113,8 @@ type Parallel struct {
 	// fault injection and checkpoint/resume state. fp is nil on
 	// fault-free runs; trackDirty (per-shard dirty-vertex tracking, needed
 	// so checkpoints can replay sequential-engine broadcasts) is enabled
-	// only when checkpointing is, keeping the steady-state process loop
-	// allocation-free otherwise.
+	// only when checkpointing is — by cadence or by EnableLiveCheckpoint —
+	// keeping the steady-state process loop allocation-free otherwise.
 	fp         *fault.Plan
 	base       []float64 // CommonGraph solution, kept for checkpoints
 	schedHash  uint64
@@ -336,13 +336,27 @@ func (p *Parallel) SetCheckpointSink(sink func([]byte) error) { p.ckptSink = sin
 // were serialized on the coordinator at an earlier consistent barrier.
 func (p *Parallel) LastCheckpoint() []byte { return p.lastCkpt }
 
+// EnableLiveCheckpoint keeps dirty-vertex tracking on without an
+// automatic cadence, so a Checkpoint taken mid-stage — after a failure at
+// a barrier-round boundary — restores into either engine. Must be called
+// before Run.
+func (p *Parallel) EnableLiveCheckpoint() { p.trackDirty = true }
+
 // Checkpoint serializes the engine's state at its current consistent
-// point. Only valid once Run has started, and not after a failure inside
-// a worker phase (a panic or an injected phase fault leaves mid-phase
-// state torn) — use LastCheckpoint there.
+// point: a barrier-round boundary (after a transient coordinator-side
+// failure) or a stage boundary. Only valid once Run has started. It
+// refuses, rather than serialize torn state, after a failure inside a
+// worker phase (a panic or an injected phase fault) and mid-stage on an
+// engine that was not tracking dirty vertices — use LastCheckpoint there.
 func (p *Parallel) Checkpoint() ([]byte, error) {
 	if !p.ran {
 		return nil, megaerr.Invalidf("engine: Checkpoint before Run")
+	}
+	if err := p.phaseFailure(); err != nil {
+		return nil, megaerr.Invalidf("engine: Checkpoint after a phase failure left state torn: %v", err)
+	}
+	if p.inRounds && !p.trackDirty {
+		return nil, megaerr.Invalidf("engine: mid-stage Checkpoint without dirty tracking (SetCheckpointEvery or EnableLiveCheckpoint)")
 	}
 	return p.snapshotState().encode(), nil
 }
@@ -511,7 +525,7 @@ func (p *Parallel) RunContext(ctx context.Context, s *sched.Schedule, lim Limits
 	p.ctxWords = (s.NumContexts + 63) / 64
 	p.vals = make([][]float64, s.NumContexts)
 	p.applied = make([]batchSet, s.NumContexts)
-	p.trackDirty = p.ckptEvery > 0
+	p.trackDirty = p.trackDirty || p.ckptEvery > 0
 
 	switch {
 	case st != nil && st.baseVals != nil:

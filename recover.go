@@ -75,8 +75,9 @@ func LoadEvolutionContext(ctx context.Context, dir string) (*Evolution, error) {
 }
 
 // RecoverOptions configures EvaluateRecover's engine and retry policy.
-// The zero value evaluates sequentially with checkpoints every 32 rounds
-// and up to 3 restarts.
+// The zero value evaluates sequentially with up to 3 restarts, each
+// resuming from a checkpoint taken at the failure point; periodic
+// checkpoints are encoded only when a Sink or Store consumes them.
 type RecoverOptions struct {
 	// Parallel selects the sharded parallel engine; Workers <= 0 uses
 	// GOMAXPROCS. After a contained worker panic the retry loop falls
@@ -85,8 +86,11 @@ type RecoverOptions struct {
 	Workers  int
 
 	// CheckpointEvery is the round interval between automatic
-	// checkpoints (0 = every 32 rounds). Checkpoints are also taken at
-	// every batch boundary.
+	// checkpoints (0 = every 32 rounds); they are also taken at every
+	// batch boundary. The cadence applies only when a Sink or Store
+	// consumes the checkpoints: with neither, a fault-free run encodes
+	// none, and a retry resumes from a checkpoint of the failed engine's
+	// live state taken at the failure itself.
 	CheckpointEvery int
 
 	// MaxRetries bounds how many times a failed attempt is restarted
@@ -108,11 +112,13 @@ type RecoverOptions struct {
 	// converged solution for the query's algorithm, source, and
 	// CommonGraph content; a checkpoint restore overrides the seed.
 	SeedBase []float64
-	// Sink, when non-nil, receives every automatic checkpoint (e.g. to
-	// persist it atomically to disk). A sink error aborts the run.
+	// Sink, when non-nil, switches periodic checkpoints on (see
+	// CheckpointEvery) and receives every one (e.g. to persist it
+	// atomically to disk). A sink error aborts the run.
 	Sink func([]byte) error
 
-	// Store, when non-nil, spools every automatic checkpoint durably
+	// Store, when non-nil, switches periodic checkpoints on (see
+	// CheckpointEvery) and spools every one durably
 	// under StoreID (composing with Sink, which still runs after the
 	// store write) and, when Checkpoint is nil, resumes the first attempt
 	// from the store's latest good generation. On success the entry is
@@ -176,17 +182,24 @@ type resumableEngine interface {
 	SetCheckpointSink(sink func([]byte) error)
 	Restore(data []byte) error
 	LastCheckpoint() []byte
+	Checkpoint() ([]byte, error)
 	SetMetrics(reg *metrics.Registry)
 	SeedBase(base []float64) error
 	BaseValues() []float64
 }
 
 // EvaluateRecover evaluates the query like EvaluateContext but survives
-// transient faults and worker panics: the run checkpoints automatically
-// (every CheckpointEvery rounds and at batch boundaries), and on a
-// retryable failure a fresh engine resumes from the last checkpoint after
-// a short backoff. A panic inside the parallel engine demotes the retry
-// to the sequential engine, resuming from the same checkpoint —
+// transient faults and worker panics: on a retryable failure a fresh
+// engine resumes from a checkpoint after a short backoff. Recovery is
+// pay-as-you-go. With a Sink or Store the run checkpoints periodically
+// (every CheckpointEvery rounds and at batch boundaries) and a retry
+// resumes from the last one delivered. With neither, a fault-free run
+// encodes nothing; a transient fault surfaces at a round or stage
+// boundary, so the retry checkpoints the failed engine's live state and
+// resumes at the failure point itself. A torn failure (a worker panic or
+// a fault inside a parallel phase) has no consistent live state and
+// restarts from the last retained checkpoint, or from scratch. A panic
+// inside the parallel engine demotes the retry to the sequential engine —
 // checkpoints are engine-portable. The returned Recovery describes what
 // happened; it is non-nil even on error.
 func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source VertexID, mode ScheduleMode, opt RecoverOptions) ([][]float64, *Recovery, error) {
@@ -248,19 +261,28 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 		}
 		var eng resumableEngine
 		if parallel {
-			eng, err = engine.NewParallel(w, a, source, opt.Workers)
+			p, err := engine.NewParallel(w, a, source, opt.Workers)
+			if err != nil {
+				return nil, rec, err
+			}
+			// Dirty tracking stays on at any cadence, so a failure-time
+			// checkpoint restores into the sequential engine too.
+			p.EnableLiveCheckpoint()
+			eng = p
 		} else {
-			eng, err = engine.NewMulti(w, a, source, nil)
-		}
-		if err != nil {
-			return nil, rec, err
+			m, err := engine.NewMulti(w, a, source, nil)
+			if err != nil {
+				return nil, rec, err
+			}
+			eng = m
 		}
 		// Attach the registry to every attempt: the engines record their
 		// counter families only at successful completion, so failed
 		// attempts contribute the retry-loop counters but no engine rows.
 		eng.SetMetrics(opt.Metrics)
-		eng.SetCheckpointEvery(every)
 		if sink != nil {
+			// Periodic checkpoints are encoded only for a consumer.
+			eng.SetCheckpointEvery(every)
 			eng.SetCheckpointSink(sink)
 		}
 		if opt.SeedBase != nil && lastCkpt == nil {
@@ -320,11 +342,20 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 		}
 		rec.Faults = append(rec.Faults, err.Error())
 
-		// The retained auto-checkpoint was serialized at an earlier
-		// consistent barrier, so it is safe even after a mid-phase panic;
-		// the engine's live state is not (never call Checkpoint here).
-		if ckpt := eng.LastCheckpoint(); ckpt != nil {
-			lastCkpt = ckpt
+		if sink != nil {
+			// The retained auto-checkpoint was serialized at an earlier
+			// consistent barrier, so it is safe even after a mid-phase panic.
+			if ckpt := eng.LastCheckpoint(); ckpt != nil {
+				lastCkpt = ckpt
+			}
+		} else if IsTransient(err) {
+			// No periodic checkpoints: take one now. Transient faults fire
+			// at round and stage boundaries, where the live state is
+			// consistent; the engine refuses if a phase fault tore it, and a
+			// panic never gets here — both keep the previous resume point.
+			if ckpt, cerr := eng.Checkpoint(); cerr == nil {
+				lastCkpt = ckpt
+			}
 		}
 
 		var wp *WorkerPanicError

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mega"
+	"mega/internal/fault"
 	"mega/internal/testutil"
 )
 
@@ -97,8 +98,12 @@ func TestEvaluateRecoverTransient(t *testing.T) {
 
 // TestEvaluateRecoverParallelPanicFallsBack injects a panic into a
 // parallel worker phase and checks the retry loop demotes to the
-// sequential engine, resumes from the parallel engine's checkpoint, and
-// still matches a clean run — checkpoints are engine-portable.
+// sequential engine and still matches a clean run. No sink is set, so no
+// periodic checkpoint exists and the panicked engine's live state is
+// torn: the demoted attempt restarts from scratch
+// (TestEvaluateRecoverNoSinkTornPhaseRestarts pins that; with a sink it
+// would resume from the last delivered checkpoint — they are
+// engine-portable).
 func TestEvaluateRecoverParallelPanicFallsBack(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
 	w := eightSnapshotWindow(t)
@@ -268,6 +273,109 @@ func TestEvaluateRecoverRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	if rec.Attempts != 1 {
 		t.Errorf("attempts = %d, want no retries for corrupt input", rec.Attempts)
+	}
+}
+
+// TestEvaluateRecoverNoSinkCrashEquivalence is the crash-equivalence
+// sweep for failure-time checkpoints: with no Sink or Store nothing is
+// checkpointed periodically, so a retry resumes from a checkpoint of the
+// failed engine's live state. One transient is injected at every round-
+// and stage-boundary visit of each engine; every run must recover in
+// exactly two attempts, the second a resume, with Float64bits-identical
+// values.
+func TestEvaluateRecoverNoSinkCrashEquivalence(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	w := soakWindow(t)
+	clean, err := mega.Evaluate(w, mega.SSSP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instantBackoff(t)
+	for _, tc := range []struct {
+		name  string
+		opt   mega.RecoverOptions
+		sites []string
+	}{
+		{"multi", mega.RecoverOptions{}, []string{"engine.round", "engine.op"}},
+		{"parallel-1", mega.RecoverOptions{Parallel: true, Workers: 1}, []string{"parallel.round"}},
+		{"parallel-4", mega.RecoverOptions{Parallel: true, Workers: 4}, []string{"parallel.round"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counter := mega.NewFaultPlan(1)
+			if _, _, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), counter),
+				w, mega.SSSP, 0, mega.BOE, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+			for _, site := range tc.sites {
+				total := counter.Visits(fault.Site(site), -1)
+				if total == 0 {
+					t.Fatalf("baseline never visited %s", site)
+				}
+				for kill := uint64(1); kill <= total; kill++ {
+					spec := site + ":transient@" + itoa(kill)
+					op, err := mega.ParseFaultOp(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(1).Add(op))
+					got, rec, err := mega.EvaluateRecover(ctx, w, mega.SSSP, 0, mega.BOE, tc.opt)
+					if err != nil {
+						t.Fatalf("%s: %v", spec, err)
+					}
+					if rec.Attempts != 2 || rec.Resumes != 1 || rec.FellBack {
+						t.Fatalf("%s: recovery = %+v, want 2 attempts, 1 resume, no fallback", spec, rec)
+					}
+					identicalBits(t, spec, clean, got)
+				}
+			}
+		})
+	}
+}
+
+// TestEvaluateRecoverNoSinkTornPhaseRestarts covers the failures whose
+// live state is torn — a panic and a transient inside a parallel worker
+// phase. With no sink there is no earlier checkpoint either, so the retry
+// must restart from scratch rather than restore a live checkpoint, and
+// still return clean-run values.
+func TestEvaluateRecoverNoSinkTornPhaseRestarts(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	w := eightSnapshotWindow(t)
+	clean, err := mega.Evaluate(w, mega.SSSP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instantBackoff(t)
+	for _, tc := range []struct {
+		spec     string
+		fellBack bool
+		engine   string // engine of the successful attempt
+	}{
+		{"parallel.phase#1:panic@4", true, "multi"},
+		{"parallel.phase#1:transient@4", false, "parallel"},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			op, err := mega.ParseFaultOp(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(3).Add(op))
+			reg := mega.NewMetricsRegistry()
+			got, rec, err := mega.EvaluateRecover(ctx, w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{
+				Parallel: true,
+				Workers:  4,
+				Metrics:  reg,
+			})
+			if err != nil {
+				t.Fatalf("EvaluateRecover = %v, want recovery by restart", err)
+			}
+			if rec.Attempts != 2 || rec.Resumes != 0 || rec.FellBack != tc.fellBack {
+				t.Errorf("recovery = %+v, want 2 attempts, 0 resumes, FellBack=%v", rec, tc.fellBack)
+			}
+			if n := reg.Counter("checkpoint_restored", "engine", tc.engine).Value(); n != 0 {
+				t.Errorf("checkpoint_restored{engine=%s} = %d, want 0: torn state must not be restored", tc.engine, n)
+			}
+			identicalBits(t, tc.spec, clean, got)
+		})
 	}
 }
 

@@ -75,7 +75,7 @@ func ParseTenantSpec(spec string) (string, TenantConfig, error) { return serve.P
 
 // ServeOptions configures NewQueryService. The zero value serves with
 // safe defaults: 4 concurrent runs, a 64-deep wait queue, no default
-// deadlines, checkpointed retries per RecoverOptions defaults.
+// deadlines, resuming retries per RecoverOptions defaults.
 type ServeOptions struct {
 	// Capacity bounds concurrently running queries (0 = 4).
 	Capacity int
@@ -101,6 +101,9 @@ type ServeOptions struct {
 
 	// CheckpointEvery, MaxRetries, Backoff, and Limits parameterize each
 	// query's EvaluateRecover run (zero values = RecoverOptions defaults).
+	// The CheckpointEvery cadence applies only when Store consumes the
+	// checkpoints; without one a fault-free query encodes none and a retry
+	// resumes from a checkpoint taken at the failure.
 	CheckpointEvery int
 	MaxRetries      int
 	Backoff         time.Duration

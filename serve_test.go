@@ -137,6 +137,9 @@ func TestQueryServiceOverloadContract(t *testing.T) {
 		}
 	}()
 	<-started
+	// The frozen query must hold the slot before the next one is submitted,
+	// or that one may win it and simply complete.
+	waitStats(t, s, func(st mega.QueryServiceStats) bool { return st.Running == 1 })
 	go func() {
 		defer wg.Done()
 		_, err := s.Submit(context.Background(), mega.QueryRequest{Window: w, Algo: mega.SSSP, Source: 0})
