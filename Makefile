@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/engine/
 	$(GO) test -run='^$$' -fuzz=FuzzParseTenantSpec -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=$(FUZZTIME) ./internal/ckptstore/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeQueryResponse -fuzztime=$(FUZZTIME) ./internal/httpfront/
 
 # Invariant-audit sweep: every audit-tagged test (conservation laws,
 # stale-size regressions, attribution properties) across the layers that

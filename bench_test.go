@@ -7,7 +7,9 @@ package mega_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"hash/crc32"
+	"net"
 	"sync"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"mega/internal/engine"
 	"mega/internal/evolve"
 	"mega/internal/gen"
+	"mega/internal/httpfront"
 	"mega/internal/power"
 	"mega/internal/sched"
 	"mega/internal/sim"
@@ -369,6 +372,53 @@ func BenchmarkLayerSubmitMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Submit(context.Background(), mega.QueryRequest{Window: win, Algo: mega.SSSP, Source: src}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLayerLoopbackHit is the top rung of the ledger: the smoke query
+// answered from the result cache by a real httpfront.Server and fetched by
+// a real httpfront.Client over a loopback TCP connection — Submit's hit
+// path plus the whole wire (a 350 KB body: encode, kernel, decode).
+func BenchmarkLayerLoopbackHit(b *testing.B) {
+	_, win, _, src := benchWorkload(b)
+	svc, err := mega.NewQueryService(mega.ServeOptions{CacheBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	front, err := httpfront.New(httpfront.Config{Service: svc, Window: win})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- front.Serve(ln) }()
+	defer func() {
+		if err := errors.Join(front.Shutdown(context.Background()), <-served); err != nil {
+			b.Error(err)
+		}
+	}()
+	client, err := httpfront.NewClient(httpfront.ClientConfig{BaseURL: "http://" + ln.Addr().String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	spec := httpfront.QuerySpec{Algo: "SSSP", Source: int64(src)}
+	if _, err := client.Query(context.Background(), spec); err != nil { // the miss that fills the cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := client.Query(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.Cache != "hit" {
+			b.Fatalf("query %d was served as cache=%q, not a hit", i, res.Report.Cache)
 		}
 	}
 }

@@ -34,11 +34,18 @@ go run ./cmd/megabench -inflation-gate "${INFLATION_MAX:-2.10}"
 # engine, while a Sink still receives the same 31 checkpoints, byte for
 # byte. Run without -race so B/op is the production allocator's.
 go test -count=1 -run '^TestRecoverNoSinkIsPayAsYouGo$' .
+# Wire-codec gate, same kind: encoding a query result allocates a small
+# constant whatever the body size (the values never pass through a
+# per-response buffer), decoding allocates at most 1.1x the values plus
+# the body buffer; and the byte-identity property — the codec's bytes are
+# encoding/json's — holds. Without -race for the same reason.
+go test -count=1 -run '^(TestWireCodecAllocs|TestWireEncodeMatchesEncodingJSON)$' ./internal/httpfront/
 go test -run='^$' -fuzz=FuzzLoadEdgeList -fuzztime="$FUZZTIME" ./internal/gen/
 go test -run='^$' -fuzz=FuzzNewWindowFromParts -fuzztime="$FUZZTIME" ./internal/evolve/
 go test -run='^$' -fuzz=FuzzCheckpointDecode -fuzztime="$FUZZTIME" ./internal/engine/
 go test -run='^$' -fuzz=FuzzParseTenantSpec -fuzztime="$FUZZTIME" ./internal/serve/
 go test -run='^$' -fuzz=FuzzManifestDecode -fuzztime="$FUZZTIME" ./internal/ckptstore/
+go test -run='^$' -fuzz=FuzzDecodeQueryResponse -fuzztime="$FUZZTIME" ./internal/httpfront/
 # Metrics smoke: a snapshot written by megasim must round-trip through
 # its own validator — required families present, every audit passed.
 tmpdir="$(mktemp -d)"

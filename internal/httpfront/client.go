@@ -26,6 +26,9 @@ const (
 	defaultBaseBackoff = 100 * time.Millisecond
 	defaultMaxBackoff  = 5 * time.Second
 	maxErrorBodyBytes  = 1 << 20
+	maxResponseBytes   = 1 << 30 // a query result larger than this is refused
+	bodyTrustBytes     = 1 << 20 // how far a Content-Length is believed before any byte arrived
+	bodyTrustFactor    = 8       // and afterwards, as a multiple of the bytes that did
 )
 
 // ClientConfig parameterizes a Client. Only BaseURL is required.
@@ -233,21 +236,58 @@ func (c *Client) queryOnce(ctx context.Context, body []byte, tenant, reqID strin
 	}()
 
 	if resp.StatusCode == http.StatusOK {
-		var qr queryResponse
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<30)).Decode(&qr); derr != nil {
-			return nil, false, megaerr.Invalidf("httpfront: bad response body: %v", derr)
+		raw, rerr := readBody(resp.Body, resp.ContentLength)
+		if rerr != nil {
+			return nil, false, rerr
 		}
-		vals, derr := decodeValues(qr.ValuesB64)
-		if derr != nil {
-			return nil, false, derr
-		}
-		return &QueryResult{Values: vals, Report: qr.Report, RequestID: qr.RequestID}, false, nil
+		res, derr := decodeQueryResponse(raw)
+		return res, false, derr
 	}
 
 	rerr := c.decodeHTTPError(resp)
 	retryable := resp.StatusCode == http.StatusTooManyRequests ||
 		resp.StatusCode == http.StatusServiceUnavailable
 	return nil, retryable, rerr
+}
+
+// readBody reads a query result's body into one buffer. claimed is the
+// response's Content-Length, negative when there is none (chunked, or a
+// proxy dropped it). The header is only a hint: it sizes the first
+// allocation up to bodyTrustBytes, and each later one up to
+// bodyTrustFactor times the bytes that have actually arrived (without a
+// header the buffer doubles), so what a response makes the client
+// allocate is bounded by what it sent, not by what it claimed. A body
+// that ends early, fails mid-read, or runs past maxResponseBytes is
+// ErrInvalidInput.
+func readBody(r io.Reader, claimed int64) ([]byte, error) {
+	// One spare byte, so a body of exactly the claimed length reaches
+	// io.EOF without growing.
+	size := int64(bytes.MinRead)
+	if claimed >= 0 {
+		size = min(claimed, bodyTrustBytes) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, megaerr.Invalidf("httpfront: bad response body: after %d bytes: %v", len(buf), err)
+		}
+		if len(buf) == cap(buf) {
+			if len(buf) > maxResponseBytes {
+				return nil, megaerr.Invalidf("httpfront: bad response body: longer than %d bytes", maxResponseBytes)
+			}
+			have := int64(cap(buf))
+			next := 2 * have
+			if claimed >= have {
+				next = min(claimed+1, bodyTrustFactor*have)
+			}
+			buf = append(make([]byte, 0, min(next, maxResponseBytes+1)), buf...)
+		}
+	}
 }
 
 // decodeHTTPError turns a non-2xx response into its typed error,

@@ -77,11 +77,16 @@ type Server struct {
 	reqSeq   atomic.Uint64
 	idBase   string
 
-	gInflight *metrics.Gauge
-	gConns    *metrics.Gauge
-	cRequests *metrics.Counter
-	cPanics   *metrics.Counter
-	hNanos    *metrics.Histogram
+	gInflight    *metrics.Gauge
+	gConns       *metrics.Gauge
+	cRequests    *metrics.Counter
+	cPanics      *metrics.Counter
+	cWriteErrors *metrics.Counter
+	hNanos       *metrics.Histogram
+	// cResponses caches http_responses{status} per three-digit status, so
+	// only a status's first response pays the label formatting and the
+	// registry lookup.
+	cResponses [1000]atomic.Pointer[metrics.Counter]
 }
 
 // New validates cfg and builds a Server (not yet listening).
@@ -129,11 +134,12 @@ func New(cfg Config) (*Server, error) {
 		reg:    reg,
 		idBase: fmt.Sprintf("%x", time.Now().UnixNano()),
 
-		gInflight: reg.Gauge("http_inflight_requests"),
-		gConns:    reg.Gauge("http_open_connections"),
-		cRequests: reg.Counter("http_requests"),
-		cPanics:   reg.Counter("http_handler_panics"),
-		hNanos:    reg.Histogram("http_request_nanos"),
+		gInflight:    reg.Gauge("http_inflight_requests"),
+		gConns:       reg.Gauge("http_open_connections"),
+		cRequests:    reg.Counter("http_requests"),
+		cPanics:      reg.Counter("http_handler_panics"),
+		cWriteErrors: reg.Counter("http_response_write_errors"),
+		hNanos:       reg.Histogram("http_request_nanos"),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -251,7 +257,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				s.cPanics.Inc()
 				sw.status = http.StatusInternalServerError
 				if !sw.wrote {
-					writeJSON(sw, http.StatusInternalServerError, errorBody{Error: wireError{
+					s.reply(sw, http.StatusInternalServerError, errorBody{Error: wireError{
 						Kind:      kindPanic,
 						Message:   fmt.Sprintf("httpfront: handler panic: %v", rec),
 						RequestID: id,
@@ -260,18 +266,41 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			}
 			s.gInflight.Add(-1)
 			s.hNanos.Observe(time.Since(start).Nanoseconds())
-			s.reg.Counter("http_responses", "status", strconv.Itoa(sw.status)).Inc()
+			s.responseCounter(sw.status).Inc()
 		}()
 		next.ServeHTTP(sw, r)
 	})
 }
 
+// responseCounter resolves http_responses{status}, through cResponses
+// for every status net/http lets a handler send.
+func (s *Server) responseCounter(status int) *metrics.Counter {
+	cached := status >= 0 && status < len(s.cResponses)
+	if cached {
+		if c := s.cResponses[status].Load(); c != nil {
+			return c
+		}
+	}
+	c := s.reg.Counter("http_responses", "status", strconv.Itoa(status))
+	if cached {
+		s.cResponses[status].Store(c)
+	}
+	return c
+}
+
 // writeJSON writes v as the response body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) // nothing to do about a write error at this point
+	return json.NewEncoder(w).Encode(v)
+}
+
+// reply is writeJSON with a failed write counted: the status line is
+// out by then, so the counter is all that can still record it.
+func (s *Server) reply(w http.ResponseWriter, status int, v any) {
+	if err := writeJSON(w, status, v); err != nil {
+		s.cWriteErrors.Inc()
+	}
 }
 
 // writeError maps err to its status code and structured body, setting
@@ -290,7 +319,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		// earlier than the hint.
 		w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
 	}
-	writeJSON(w, status, errorBody{Error: we})
+	s.reply(w, status, errorBody{Error: we})
 }
 
 // handleQuery answers POST /v1/query: decode and validate the spec,
@@ -310,7 +339,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Message:   fmt.Sprintf("httpfront: request body exceeds %d bytes", s.cfg.MaxBodyBytes),
 				RequestID: requestIDFrom(r.Context()),
 			}
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: we})
+			s.reply(w, http.StatusRequestEntityTooLarge, errorBody{Error: we})
 			return
 		}
 		s.writeError(w, r, megaerr.Invalidf("httpfront: bad query body: %v", err))
@@ -341,12 +370,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Snapshots: len(res.Values),
-		ValuesB64: encodeValues(res.Values),
-		Report:    reportFromServe(res.Report),
-		RequestID: requestIDFrom(r.Context()),
-	})
+	if err := writeQueryResult(w, res.Values, reportFromServe(res.Report), requestIDFrom(r.Context())); err != nil {
+		s.cWriteErrors.Inc()
+	}
 }
 
 // tenantFromHeader reads and validates the X-Mega-Tenant header. An
@@ -444,7 +470,7 @@ func (s *Server) buildRequest(ctx context.Context, spec *QuerySpec) (serve.Reque
 // handleHealthz reports process liveness: the handler answering is the
 // signal, so it is unconditionally ok — even while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthReply{OK: true})
+	s.reply(w, http.StatusOK, healthReply{OK: true})
 }
 
 // handleReadyz reports admission readiness: false (503) the moment a
@@ -456,23 +482,25 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		state = "draining"
 	}
 	if state == "serving" {
-		writeJSON(w, http.StatusOK, healthReply{OK: true, State: state})
+		s.reply(w, http.StatusOK, healthReply{OK: true, State: state})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, healthReply{OK: false, State: state})
+	s.reply(w, http.StatusServiceUnavailable, healthReply{OK: false, State: state})
 }
 
 // handleMetrics serves the registry's deterministic JSON snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	s.reg.WriteJSON(w)
+	if err := s.reg.WriteJSON(w); err != nil {
+		s.cWriteErrors.Inc()
+	}
 }
 
 // handleStats serves the service accounting snapshot plus the current
 // overload back-off estimate.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.Stats()
-	writeJSON(w, http.StatusOK, StatsReply{
+	s.reply(w, http.StatusOK, StatsReply{
 		Stats:            st,
 		RetryAfterHintMs: serve.RetryAfterHint(st).Milliseconds(),
 	})

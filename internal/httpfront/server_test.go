@@ -619,3 +619,33 @@ func TestServerCacheStatusOnWire(t *testing.T) {
 		t.Errorf("cache stats = %+v, want an enabled cache with 2 lookups = 1 hit + 1 miss", st.Cache)
 	}
 }
+
+// TestResponseCountersPerStatus pins the middleware's per-status counter
+// cache: repeated statuses keep landing in the same http_responses{status}
+// series the registry exposes, and the write-error family is registered
+// (at zero) from the start.
+func TestResponseCountersPerStatus(t *testing.T) {
+	s, ts := newTestFront(t, nil, nil, nil)
+	for i := 0; i < 3; i++ {
+		if status, _, raw := postQuery(t, ts, QuerySpec{Algo: "SSSP", Source: 1}); status != http.StatusOK {
+			t.Fatalf("query %d = %d (body %s)", i, status, raw)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if status, _, _ := postQuery(t, ts, QuerySpec{Algo: "NOPE"}); status != http.StatusBadRequest {
+			t.Fatalf("bad query %d = %d, want 400", i, status)
+		}
+	}
+	for status, want := range map[string]int64{"200": 3, "400": 2} {
+		if got := s.reg.Counter("http_responses", "status", status).Value(); got != want {
+			t.Errorf("http_responses{status=%s} = %d, want %d", status, got, want)
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.reg.WriteJSON(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.ValidateSnapshotJSON(snap.Bytes(), "http_responses", "http_response_write_errors"); err != nil {
+		t.Errorf("metrics snapshot: %v", err)
+	}
+}

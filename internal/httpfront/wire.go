@@ -27,16 +27,23 @@
 // Result values travel as base64-encoded little-endian IEEE-754 arrays
 // (one string per snapshot) rather than JSON numbers: algorithm
 // identities include ±Inf, which JSON cannot represent, and the contract
-// demands Float64bits-identical values end to end.
+// demands Float64bits-identical values end to end. A result body is the
+// JSON object encoding/json would write for
+//
+//	{"snapshots":N,"values_b64":[...],"report":{...},"request_id":"..."}
+//
+// byte for byte, but codec.go writes and reads it in one pass: the values
+// go between []float64 and the socket through a fixed-size buffer, only
+// report and request_id pass through encoding/json, and a 200 always
+// carries Content-Length. The decoder accepts a subset of what
+// encoding/json would (same result wherever it accepts); wire_ref_test.go
+// keeps the encoding/json path as the reference both are tested against.
 package httpfront
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"time"
 
@@ -160,14 +167,6 @@ func reportFromServe(r serve.Report) Report {
 	}
 }
 
-// queryResponse is the JSON body of a successful POST /v1/query.
-type queryResponse struct {
-	Snapshots int      `json:"snapshots"`
-	ValuesB64 []string `json:"values_b64"`
-	Report    Report   `json:"report"`
-	RequestID string   `json:"request_id,omitempty"`
-}
-
 // QueryResult is a successful remote query as the Client returns it:
 // values decoded back to float64 (bit-identical to the server's), the
 // execution report, and the request ID for correlation.
@@ -188,41 +187,6 @@ type StatsReply struct {
 type healthReply struct {
 	OK    bool   `json:"ok"`
 	State string `json:"state,omitempty"`
-}
-
-// encodeValues packs each snapshot's values as base64 little-endian
-// Float64bits — exact for every float64 including ±Inf and NaN.
-func encodeValues(vals [][]float64) []string {
-	out := make([]string, len(vals))
-	for i, snap := range vals {
-		buf := make([]byte, 8*len(snap))
-		for j, v := range snap {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		out[i] = base64.StdEncoding.EncodeToString(buf)
-	}
-	return out
-}
-
-// decodeValues is encodeValues's inverse; malformed input is an
-// ErrInvalidInput error.
-func decodeValues(b64 []string) ([][]float64, error) {
-	out := make([][]float64, len(b64))
-	for i, s := range b64 {
-		buf, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return nil, megaerr.Invalidf("httpfront: snapshot %d values do not decode: %v", i, err)
-		}
-		if len(buf)%8 != 0 {
-			return nil, megaerr.Invalidf("httpfront: snapshot %d values are %d bytes, not a float64 array", i, len(buf))
-		}
-		snap := make([]float64, len(buf)/8)
-		for j := range snap {
-			snap[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-		}
-		out[i] = snap
-	}
-	return out, nil
 }
 
 // Error kinds: the wire-level error taxonomy. The kind, not the status

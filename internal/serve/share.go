@@ -84,7 +84,8 @@ type flight struct {
 	reqs      []*Request // index-aligned with sources; reqs[0] is the leader's
 
 	// refs counts the leader plus followers still awaiting resolution.
-	// The last departing participant cancels the detached run.
+	// The last departing participant unmaps the flight and cancels the
+	// detached run (departFlightLocked).
 	refs       int
 	leaderGone bool
 	cancel     context.CancelFunc // cancels the engine run; set at run start
@@ -226,6 +227,21 @@ func (s *Service) unmapFlightLocked(fl *flight) {
 	}
 }
 
+// departFlightLocked drops one participant's reference and reports whether
+// it was the last, in which case the caller cancels the detached run. The
+// flight leaves the maps in this same critical section: runFlight unmaps
+// only when the canceled run has unwound, and an arrival in between must
+// lead a fresh flight, not join a run that is already canceled. Called
+// with s.mu held.
+func (s *Service) departFlightLocked(fl *flight) (last bool) {
+	fl.refs--
+	if fl.refs > 0 {
+		return false
+	}
+	s.unmapFlightLocked(fl)
+	return true
+}
+
 // resolveCacheHitLocked accounts one cache hit — admission and completion
 // in a single locked step so the conservation law holds at every instant —
 // and builds its Result. A draining/closed service rejects hits like any
@@ -331,8 +347,7 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 	case <-ctx.Done():
 		s.mu.Lock()
 		fl.leaderGone = true
-		fl.refs--
-		last := fl.refs == 0
+		last := s.departFlightLocked(fl)
 		s.mu.Unlock()
 		if last {
 			rcancel()
@@ -420,8 +435,7 @@ func (s *Service) awaitFlight(ctx context.Context, req *Request, fl *flight, idx
 	case <-ctx.Done():
 		cause := megaerr.Canceled("serve: canceled while attached to a shared run", ctx.Err())
 		s.mu.Lock()
-		fl.refs--
-		last := fl.refs == 0 && fl.cancel != nil
+		last := s.departFlightLocked(fl) && fl.cancel != nil
 		cancel := fl.cancel
 		t := s.tenantLocked(req.Tenant)
 		s.admitted++

@@ -369,6 +369,104 @@ func TestShareLastParticipantCancelStopsRun(t *testing.T) {
 	}
 }
 
+// TestShareArrivalAfterLastDepartureLeadsFreshFlight pins the interleaving
+// behind the TestQueryServiceSoakSharing flake: the last participant of a
+// flight departs (canceling the detached run), and a same-key query
+// arrives before the canceled run has unwound. The stub holds the
+// canceled run open on a channel, so the window is as wide as the test
+// wants it. The arrival must lead a fresh flight and succeed; before the
+// departure and the unmap shared one critical section it coalesced onto
+// the dead flight and failed with the run's "context canceled".
+func TestShareArrivalAfterLastDepartureLeadsFreshFlight(t *testing.T) {
+	for _, lastOut := range []string{"leader", "follower"} {
+		t.Run(lastOut+" departs last", func(t *testing.T) {
+			testutil.NoGoroutineLeak(t)
+			started := make(chan struct{}, 4)
+			unwind := make(chan struct{}) // lets a canceled run return
+			release := sync.OnceFunc(func() { close(unwind) })
+			defer release()
+			var calls atomic.Int64
+			run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+				if calls.Add(1) > 1 {
+					return [][]float64{{7}}, RunReport{Attempts: 1}, nil
+				}
+				started <- struct{}{}
+				<-ctx.Done()
+				<-unwind
+				return nil, RunReport{Attempts: 1}, megaerr.Canceled("stub run", ctx.Err())
+			}
+			s, err := New(Config{Capacity: 2, Run: run, CacheBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := Request{Window: shareWindow(t), Algo: algo.SSSP, Source: 0}
+
+			leadCtx, leadCancel := context.WithCancel(context.Background())
+			defer leadCancel()
+			lead := make(chan error, 1)
+			go func() {
+				_, err := s.Submit(leadCtx, req)
+				lead <- err
+			}()
+			<-started
+			participants := uint64(1)
+			if lastOut == "follower" {
+				followCtx, followCancel := context.WithCancel(context.Background())
+				defer followCancel()
+				follow := make(chan error, 1)
+				go func() {
+					_, err := s.Submit(followCtx, req)
+					follow <- err
+				}()
+				waitFor(t, "follower to coalesce", func() bool { return s.Stats().CoalescedQueries == 1 })
+				leadCancel()
+				if err := <-lead; !errors.Is(err, megaerr.ErrCanceled) {
+					t.Fatalf("canceled leader = %v, want ErrCanceled", err)
+				}
+				followCancel()
+				if err := <-follow; !errors.Is(err, megaerr.ErrCanceled) {
+					t.Fatalf("canceled follower = %v, want ErrCanceled", err)
+				}
+				participants = 2
+			} else {
+				leadCancel()
+				if err := <-lead; !errors.Is(err, megaerr.ErrCanceled) {
+					t.Fatalf("canceled leader = %v, want ErrCanceled", err)
+				}
+			}
+
+			// Every participant is gone and the first run is canceled but
+			// still parked on unwind: this arrival is inside the window.
+			arrival := make(chan struct{})
+			var res *Result
+			go func() {
+				defer close(arrival)
+				res, err = s.Submit(context.Background(), req)
+			}()
+			waitFor(t, "the arrival to start a run of its own", func() bool { return calls.Load() == 2 })
+			<-arrival
+			if err != nil {
+				t.Fatalf("arrival after the last departure = %v, want a fresh run's result", err)
+			}
+			if res.Report.Cache != "" || res.Values[0][0] != 7 {
+				t.Errorf("arrival got cache=%q values=%v, want its own solo run's {7}", res.Report.Cache, res.Values)
+			}
+			if n := calls.Load(); n != 2 {
+				t.Errorf("engine ran %d times, want 2 (the canceled run and the fresh one)", n)
+			}
+			release()
+			waitFor(t, "terminal accounting", func() bool {
+				st := s.Stats()
+				return st.Admitted == participants+1 && st.Admitted == st.Completed+st.Failed+st.Canceled+st.Shed
+			})
+			if st := s.Stats(); st.Completed != 1 || st.Canceled != participants {
+				t.Errorf("stats = %+v, want 1 completed + %d canceled", st, participants)
+			}
+			mustClose(t, s)
+		})
+	}
+}
+
 // TestShareBatchedMultiSource proves the batching contract: concurrent
 // same-window, same-algo queries with different sources execute as ONE
 // multi-source engine run, each caller receiving its own source's values.
