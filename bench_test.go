@@ -8,8 +8,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,17 +55,46 @@ func benchWorkload(b testing.TB) (*gen.Evolution, *evolve.Window, *sim.HopGraphs
 		if err != nil {
 			panic(err)
 		}
-		deg := make([]int, spec.Vertices)
-		best := 0
-		for _, e := range ev.Initial {
-			deg[e.Src]++
-			if deg[e.Src] > deg[best] {
-				best = int(e.Src)
-			}
-		}
-		benchEv, benchWin, benchHG, benchSrc = ev, win, hg, mega.VertexID(best)
+		benchEv, benchWin, benchHG, benchSrc = ev, win, hg, hubOf(ev)
 	})
 	return benchEv, benchWin, benchHG, benchSrc
+}
+
+var (
+	wenOnce sync.Once
+	wenWin  *evolve.Window
+	wenSrc  mega.VertexID
+)
+
+// wenWorkload is the Wen′ stand-in (26,624 v / 800K e) as megaserve
+// -graph Wen serves it: 16 snapshots, 1% batches, evolution seed 42.
+func wenWorkload(b testing.TB) (*evolve.Window, mega.VertexID) {
+	b.Helper()
+	wenOnce.Do(func() {
+		spec, _ := gen.PaperGraph("Wen")
+		ev, err := gen.Evolve(spec, gen.EvolutionSpec{Snapshots: 16, BatchFraction: 0.01, Seed: 42})
+		if err != nil {
+			panic(err)
+		}
+		if wenWin, err = evolve.NewWindow(ev); err != nil {
+			panic(err)
+		}
+		wenSrc = hubOf(ev)
+	})
+	return wenWin, wenSrc
+}
+
+// hubOf returns G_0's highest out-degree vertex, the benchmarks' source.
+func hubOf(ev *gen.Evolution) mega.VertexID {
+	deg := make([]int, ev.NumVertices)
+	best := 0
+	for _, e := range ev.Initial {
+		deg[e.Src]++
+		if deg[e.Src] > deg[best] {
+			best = int(e.Src)
+		}
+	}
+	return mega.VertexID(best)
 }
 
 // --- Figure 2: deletion vs addition batch cost on JetStream ---
@@ -125,7 +156,12 @@ func BenchmarkFig04_05_FunctionalBOE(b *testing.B) {
 
 func benchmarkParallelWorkers(b *testing.B, workers int) {
 	_, win, _, src := benchWorkload(b)
+	parallelWorkersLoop(b, win, src, workers)
+}
+
+func parallelWorkersLoop(b *testing.B, win *evolve.Window, src mega.VertexID, workers int) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := sched.New(sched.BOE, win)
 		if err != nil {
@@ -145,6 +181,17 @@ func BenchmarkParallelWorkers1(b *testing.B) { benchmarkParallelWorkers(b, 1) }
 func BenchmarkParallelWorkers2(b *testing.B) { benchmarkParallelWorkers(b, 2) }
 func BenchmarkParallelWorkers4(b *testing.B) { benchmarkParallelWorkers(b, 4) }
 func BenchmarkParallelWorkers8(b *testing.B) { benchmarkParallelWorkers(b, 8) }
+
+// BenchmarkParallelWorkersWen is the same sweep at Wen′ scale, beside
+// BenchmarkLayerEvaluateContextWen's sequential row.
+func BenchmarkParallelWorkersWen(b *testing.B) {
+	win, src := wenWorkload(b)
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			parallelWorkersLoop(b, win, src, workers)
+		})
+	}
+}
 
 // --- Figure 10: round-series capture ---
 
@@ -323,19 +370,50 @@ func BenchmarkCore_EvaluatePublicAPI(b *testing.B) {
 
 // --- Query-path layer ledger: one query priced at each seam ---
 //
-// The same 2k-vertex smoke query through the bare engine, the recovery
-// wrapper without and with a checkpoint consumer, and the query service
-// with sharing off (every Submit is a miss). B/op and allocs/op are the
-// deterministic proxies CI gates on (TestRecoverNoSinkIsPayAsYouGo).
+// The same 2k-vertex smoke query through engine construction, the bare
+// engine (also at Wen′ scale), the recovery wrapper without and with a
+// checkpoint consumer, and the query service with sharing off (every
+// Submit is a miss). B/op and allocs/op are the deterministic proxies CI
+// gates on (TestRecoverNoSinkIsPayAsYouGo).
+
+// BenchmarkLayerNewMulti prices engine construction alone, on a window
+// whose batch tags are already resident (every query of a served window
+// but the first).
+func BenchmarkLayerNewMulti(b *testing.B) {
+	_, win, _, src := benchWorkload(b)
+	if _, err := win.BatchOf(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.NewMulti(win, algo.New(algo.SSSP), src, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func layerEvaluateContext(b *testing.B) {
 	_, win, _, src := benchWorkload(b)
+	evaluateContextLoop(b, win, src)
+}
+
+func evaluateContextLoop(b *testing.B, win *evolve.Window, src mega.VertexID) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mega.EvaluateContext(context.Background(), win, mega.SSSP, src); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLayerEvaluateContextWen is the bare-engine row at the paper
+// stand-in scale, where the per-event work dominates what is fixed per
+// query.
+func BenchmarkLayerEvaluateContextWen(b *testing.B) {
+	win, src := wenWorkload(b)
+	evaluateContextLoop(b, win, src)
 }
 
 func layerEvaluateRecover(b *testing.B, opt mega.RecoverOptions) {
@@ -425,20 +503,25 @@ func BenchmarkLayerLoopbackHit(b *testing.B) {
 
 // Checkpoints a Sink receives from one fault-free smoke query at the
 // default cadence — their count, total bytes, and a CRC over all of them
-// in delivery order — as measured on the commit before recovery became
-// pay-as-you-go. The sink path must stay byte-identical to it.
+// in delivery order. The count is the one measured before recovery became
+// pay-as-you-go; bytes and CRC were re-pinned when the unprobed engine
+// began filtering seeds at generation, which leaves a mid-stage
+// checkpoint's queue only the seeds that improve their target (474,660
+// fewer bytes over the 31). The sink path must stay byte-identical to it.
 const (
 	smokeSinkCheckpoints = 31
-	smokeSinkBytes       = 8_870_226
-	smokeSinkCRC         = 0xd972e0f8
+	smokeSinkBytes       = 8_395_566
+	smokeSinkCRC         = 0x47b02346
 )
 
 // TestRecoverNoSinkIsPayAsYouGo is the deterministic proxy gate for the
 // recovery wrapper's cost (wired into ci.sh): with no Sink or Store a
 // fault-free EvaluateRecover encodes no checkpoint and allocates within
 // 1.25× of the bare engine, the checkpoint counter families stay
-// registered (at zero) so the metrics contract holds, and a Sink still
-// receives exactly the checkpoints it always did.
+// registered (at zero) so the metrics contract holds, a Sink still
+// receives exactly the pinned checkpoints, and constructing an engine on
+// a window whose batch tags are resident allocates nothing proportional
+// to the edge count.
 func TestRecoverNoSinkIsPayAsYouGo(t *testing.T) {
 	_, win, _, src := benchWorkload(t)
 
@@ -484,6 +567,24 @@ func TestRecoverNoSinkIsPayAsYouGo(t *testing.T) {
 	t.Logf("B/op: EvaluateContext %d, EvaluateRecover (no sink) %d (%.2fx)", bare, wrapped, float64(wrapped)/float64(bare))
 	if bare == 0 || float64(wrapped) > 1.25*float64(bare) {
 		t.Errorf("no-sink EvaluateRecover allocates %d B/op, over 1.25x EvaluateContext's %d", wrapped, bare)
+	}
+
+	// The tag slice NewMulti used to build per engine: 4 bytes per union
+	// edge. A microsecond operation needs no benchmark loop to price.
+	tagBytes := uint64(4 * win.Unified().NumUnionEdges())
+	const constructions = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < constructions; i++ {
+		if _, err := engine.NewMulti(win, algo.New(algo.SSSP), src, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	construct := (after.TotalAlloc - before.TotalAlloc) / constructions
+	t.Logf("B/op: NewMulti %d (the window's tag slice is %d)", construct, tagBytes)
+	if construct >= tagBytes {
+		t.Errorf("NewMulti allocates %d B/op on a window with resident tags, not below the %d-byte tag slice", construct, tagBytes)
 	}
 }
 

@@ -28,6 +28,13 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # 2.045x); the pre-coalescing engine measured 3.34x at every worker
 # count, so a regression that reopens the gap fails loudly.
 go run ./cmd/megabench -inflation-gate "${INFLATION_MAX:-2.10}"
+# Seed-filter gate: the sequential count the gate above divides by is a
+# Stats-probed run, whose seeds are the hardware's (one event per batch
+# edge and context, discarded at the PEs); without a probe the engine
+# drops non-improving seeds at generation. This pins the probed count
+# (28,217 on the same workload) and proves the two seed loops, and the
+# parallel engine, agree bit for bit on generated windows.
+go test -count=1 -run '^TestSeedFilterEquivalence$' ./internal/engine/
 # Pay-as-you-go recovery gate, deterministic like the one above (counts
 # and B/op, no wall-clock): a fault-free EvaluateRecover with no Sink or
 # Store encodes zero checkpoints and allocates within 1.25x of the bare

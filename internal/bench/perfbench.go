@@ -35,9 +35,14 @@ type PerfResult struct {
 	Iterations int   `json:"iterations"`
 	NsPerOp    int64 `json:"ns_per_op"`
 	// EventsPerOp is the engine's processed-event count for one full run.
+	// For the sequential row it is the count under a Stats probe — the
+	// hardware model's, every seed read and discarded at a PE — which
+	// anchors EventsInflation.
 	EventsPerOp int64 `json:"events_per_op"`
 	// EventsPerSec is the throughput headline: events processed per
-	// wall-clock second.
+	// wall-clock second by the timed run. The timed sequential run is
+	// unprobed and filters seeds at generation, so its rate counts the
+	// events that run takes from its queues, not EventsPerOp.
 	EventsPerSec float64 `json:"events_per_sec"`
 	// EventsInflation is EventsPerOp divided by the sequential engine's
 	// EventsPerOp: how much redundant work this configuration performs to
@@ -115,32 +120,39 @@ func perfWorkload(quick bool) (*evolve.Window, graph.VertexID, error) {
 	return w, graph.VertexID(best), nil
 }
 
-// countEvents runs one engine end to end and returns its processed-event
-// total (outside the timed benchmark, so probes cost nothing there).
-func countEvents(w *evolve.Window, src graph.VertexID, workers int) (int64, error) {
+// countEvents runs one engine end to end, outside the timed benchmark, and
+// returns its processed-event total. For the sequential engine (workers 0)
+// events is the count under a Stats probe — seeds as the hardware
+// generates them — and timed is what benchOnce's unprobed run takes from
+// its queues (seeds filtered at generation); the parallel engine has one
+// count.
+func countEvents(w *evolve.Window, src graph.VertexID, workers int) (events, timed int64, err error) {
 	s, err := sched.New(sched.BOE, w)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if workers == 0 {
 		var st engine.Stats
-		eng, err := engine.NewMulti(w, algo.New(algo.SSSP), src, &st)
-		if err != nil {
-			return 0, err
+		for _, probe := range []engine.Probe{&st, nil} {
+			eng, err := engine.NewMulti(w, algo.New(algo.SSSP), src, probe)
+			if err != nil {
+				return 0, 0, err
+			}
+			if err := eng.Run(s); err != nil {
+				return 0, 0, err
+			}
+			_, _, timed = eng.QueueCounters()
 		}
-		if err := eng.Run(s); err != nil {
-			return 0, err
-		}
-		return st.Events, nil
+		return st.Events, timed, nil
 	}
 	eng, err := engine.NewParallel(w, algo.New(algo.SSSP), src, workers)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := eng.Run(s); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return eng.Events(), nil
+	return eng.Events(), eng.Events(), nil
 }
 
 // benchOnce runs the full schedule-build + engine-run cycle once; the
@@ -196,7 +208,7 @@ func RunPerfBench(quick bool, workerCounts []int, rounds int, log io.Writer) (*P
 		if workers > 0 {
 			name = fmt.Sprintf("parallel-%d", workers)
 		}
-		events, err := countEvents(w, src, workers)
+		events, timed, err := countEvents(w, src, workers)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -227,7 +239,7 @@ func RunPerfBench(quick bool, workerCounts []int, rounds int, log io.Writer) (*P
 			BytesPerOp:  best.AllocedBytesPerOp(),
 		}
 		if res.NsPerOp > 0 {
-			res.EventsPerSec = float64(events) / (float64(res.NsPerOp) / 1e9)
+			res.EventsPerSec = float64(timed) / (float64(res.NsPerOp) / 1e9)
 		}
 		rep.Results = append(rep.Results, res)
 	}
@@ -277,7 +289,7 @@ func RunInflationGate(quick bool, workerCounts []int, log io.Writer) ([]Inflatio
 	if err != nil {
 		return nil, 0, err
 	}
-	seq, err := countEvents(w, src, 0)
+	seq, _, err := countEvents(w, src, 0)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sequential: %w", err)
 	}
@@ -290,7 +302,7 @@ func RunInflationGate(quick bool, workerCounts []int, log io.Writer) ([]Inflatio
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range workerCounts {
-			ev, err := countEvents(w, src, workers)
+			ev, _, err := countEvents(w, src, workers)
 			if err != nil {
 				return nil, 0, fmt.Errorf("parallel-%d procs=%d: %w", workers, procs, err)
 			}
@@ -351,7 +363,7 @@ func RunPerfTrajectory(quick bool, procs []int, rounds int, log io.Writer) ([]Pr
 		// Pin first: the engine captures GOMAXPROCS at construction, and
 		// the events a run processes depend on it.
 		runtime.GOMAXPROCS(p)
-		events, err := countEvents(w, src, p)
+		events, _, err := countEvents(w, src, p)
 		if err != nil {
 			return nil, fmt.Errorf("trajectory procs=%d: %w", p, err)
 		}

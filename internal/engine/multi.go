@@ -39,8 +39,8 @@ type Multi struct {
 	nc      int
 	basePer [][]float64 // per-source CommonGraph solutions (index 0 aliases baseVals)
 
-	// batchOf maps each union edge index to the addition batch carrying
-	// it, or -1 for CommonGraph edges.
+	// batchOf is the window's union-edge → batch tag map (Window.BatchOf),
+	// shared and read-only.
 	batchOf []int32
 
 	baseVals []float64 // query solved on the CommonGraph (lazily built)
@@ -214,58 +214,23 @@ func (m *Multi) takeCheckpoint() error {
 }
 
 // NewMulti builds an engine for the window. src is the query source
-// vertex. probe may be nil. It fails if any non-common edge belongs to
-// more than one batch (CommonGraph histories never produce such edges).
+// vertex. probe may be nil. Construction is O(V): everything that depends
+// only on the window (the unified CSR, its batch tags) lives on the Window.
+// It fails if the window's batch tags do (see Window.BatchOf).
 func NewMulti(w *evolve.Window, a algo.Algorithm, src graph.VertexID, probe Probe) (*Multi, error) {
 	if probe == nil {
 		probe = NopProbe{}
 	}
-	if int(src) >= w.NumVertices() {
-		return nil, megaerr.Invalidf("engine: source vertex %d outside [0,%d)", src, w.NumVertices())
+	if err := checkSource(w, src); err != nil {
+		return nil, err
 	}
-	u := w.Unified()
-	batchOf := make([]int32, u.NumUnionEdges())
-	for i := range batchOf {
-		batchOf[i] = -1
-	}
-	// Resolve each batch edge to its union edge index. The union CSR keeps
-	// each vertex's destinations sorted, so binary search resolves an edge
-	// in O(log deg) instead of the former O(deg) scan — on batches landing
-	// on hub vertices of skewed graphs the linear scan made construction
-	// O(B·deg) and dominated NewMulti. The search is hand-rolled: this
-	// runs once per batch edge per engine construction and the sort.Search
-	// closure showed up in profiles.
-	union := u.Union()
-	for bi := range w.Batches() {
-		b := &w.Batches()[bi]
-		for _, e := range b.Edges {
-			lo, _ := union.EdgeRange(e.Src)
-			dsts, _ := union.OutEdges(e.Src)
-			i, j := 0, len(dsts)
-			for i < j {
-				h := int(uint(i+j) >> 1)
-				if dsts[h] < e.Dst {
-					i = h + 1
-				} else {
-					j = h
-				}
-			}
-			idx := -1
-			if i < len(dsts) && dsts[i] == e.Dst {
-				idx = int(lo) + i
-			}
-			if idx < 0 {
-				return nil, megaerr.Invalidf("engine: batch %d edge %d->%d missing from union graph", b.ID, e.Src, e.Dst)
-			}
-			if batchOf[idx] != -1 {
-				return nil, megaerr.Invalidf("engine: edge %d->%d belongs to batches %d and %d", e.Src, e.Dst, batchOf[idx], b.ID)
-			}
-			batchOf[idx] = int32(b.ID)
-		}
+	batchOf, err := w.BatchOf()
+	if err != nil {
+		return nil, err
 	}
 	return &Multi{
 		w:         w,
-		u:         u,
+		u:         w.Unified(),
 		a:         a,
 		src:       src,
 		probe:     probe,
@@ -274,6 +239,14 @@ func NewMulti(w *evolve.Window, a algo.Algorithm, src graph.VertexID, probe Prob
 		dirtyMark: make([]bool, w.NumVertices()),
 		auditOn:   metrics.Strict(),
 	}, nil
+}
+
+// checkSource refuses a query source outside the window's vertex range.
+func checkSource(w *evolve.Window, src graph.VertexID) error {
+	if int(src) >= w.NumVertices() {
+		return megaerr.Invalidf("engine: source vertex %d outside [0,%d)", src, w.NumVertices())
+	}
+	return nil
 }
 
 // NewMultiSource builds one engine that answers the same query for
@@ -293,8 +266,8 @@ func NewMultiSource(w *evolve.Window, a algo.Algorithm, srcs []graph.VertexID, p
 	}
 	seen := make(map[graph.VertexID]bool, len(srcs))
 	for _, src := range srcs {
-		if int(src) >= w.NumVertices() {
-			return nil, megaerr.Invalidf("engine: source vertex %d outside [0,%d)", src, w.NumVertices())
+		if err := checkSource(w, src); err != nil {
+			return nil, err
 		}
 		if seen[src] {
 			return nil, megaerr.Invalidf("engine: duplicate source vertex %d", src)
@@ -444,8 +417,8 @@ func (m *Multi) RecordMetrics(reg *metrics.Registry) {
 	}
 }
 
-// BatchOf exposes the union-edge-index → batch-ID map (-1 for CommonGraph
-// edges), shared with the microarchitectural simulator. Do not modify.
+// BatchOf exposes the window's union-edge-index → batch-ID map (see
+// Window.BatchOf). Do not modify.
 func (m *Multi) BatchOf() []int32 { return m.batchOf }
 
 // BaseValues returns the query solution on the CommonGraph, computing it
@@ -732,8 +705,13 @@ func (m *Multi) runApplies(ops []sched.Op) error {
 	// Mark batches applied first so propagation traverses their edges,
 	// then seed: the batch reader streams each batch and generates one
 	// event per (edge, computing context) whose source side is reachable.
-	// As in the hardware, events that do not improve their target are
-	// processed and discarded at the PEs, not filtered at generation.
+	// As in the hardware, seeds that do not improve their target are
+	// processed and discarded at the PEs, not filtered at generation —
+	// that is the work a Probe prices. With nobody pricing it (NopProbe)
+	// such a seed is dropped here, the filter runRounds applies to
+	// propagated events: it could only be taken and discarded, or lose its
+	// slot to an improving seed, so no value changes.
+	_, unpriced := m.probe.(NopProbe)
 	for _, op := range ops {
 		opCompute := op.Targets
 		if op.SharedCompute {
@@ -748,7 +726,11 @@ func (m *Multi) runApplies(ops []sched.Op) error {
 				if srcVal == m.a.Identity() {
 					continue
 				}
-				if m.countPush(m.cur.push(m.a, c, e.Dst, m.a.EdgeFunc(srcVal, e.Weight), int32(op.Batch.ID))) {
+				cand := m.a.EdgeFunc(srcVal, e.Weight)
+				if unpriced && !m.a.Better(cand, m.vals[c][e.Dst]) {
+					continue
+				}
+				if m.countPush(m.cur.push(m.a, c, e.Dst, cand, int32(op.Batch.ID))) {
 					m.probe.Generated(e.Dst, c)
 				}
 			}

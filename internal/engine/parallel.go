@@ -42,12 +42,13 @@ import (
 //   - Mailboxes are fixed-size event chunks recycled through a sync.Pool;
 //     pending matrices use per-vertex context bitmasks. After warm-up, an
 //     apply executes with zero steady-state heap allocations.
-//   - Events are filtered at generation like the sequential engine's
-//     queue: candidates for a worker's own vertices (and all candidates
-//     on race-free paths) are dropped unless they improve the current
-//     value, and cross-shard emits dedup through a per-shard sender-side
-//     coalescing table (senderTable, queue.go) so a hot vertex crosses
-//     the shard boundary as one event per round instead of dozens.
+//   - Events are filtered at generation, seeds included, like the
+//     sequential engine's when no Probe prices them: candidates for a
+//     worker's own vertices (and all candidates on race-free paths) are
+//     dropped unless they improve the current value, and cross-shard
+//     emits dedup through a per-shard sender-side coalescing table
+//     (senderTable, queue.go) so a hot vertex crosses the shard boundary
+//     as one event per round instead of dozens.
 //   - Rounds with heavy load imbalance hand touched-list tails from
 //     overloaded shards to idle ones at the deliver→process barrier
 //     (planSteal); donated segments are processed by the stealer but all
@@ -157,8 +158,10 @@ func NewParallel(w *evolve.Window, a algo.Algorithm, src graph.VertexID, workers
 	if workers > w.NumVertices() && w.NumVertices() > 0 {
 		workers = w.NumVertices()
 	}
-	// Reuse the sequential engine's construction for batch resolution.
-	seq, err := NewMulti(w, a, src, nil)
+	if err := checkSource(w, src); err != nil {
+		return nil, err
+	}
+	batchOf, err := w.BatchOf()
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +173,7 @@ func NewParallel(w *evolve.Window, a algo.Algorithm, src graph.VertexID, workers
 	p := &Parallel{
 		w: w, u: w.Unified(), union: union, a: a, ident: a.Identity(),
 		src: src, workers: workers, procs: runtime.GOMAXPROCS(0),
-		batchOf: seq.batchOf, part: part,
+		batchOf: batchOf, part: part,
 		trap:    &panicTrap{},
 		auditOn: metrics.Strict(),
 	}
@@ -1286,12 +1289,13 @@ func (p *Parallel) seedShard(si int, sh *shard) {
 					continue
 				}
 				cand := p.a.EdgeFunc(srcVal, e.Weight)
-				// Generation filter (mirrors Multi.runRounds): during the
-				// seed phase no worker writes values, so reading any
-				// destination's current value is race-free, and a candidate
-				// that doesn't improve it can never survive the coalescing
-				// take either. Filtered candidates are never counted, same
-				// as the sequential engine.
+				// Generation filter, the one Multi.runApplies applies to its
+				// own seeds when no Probe prices them (this engine has no
+				// probe, so it always filters): during the seed phase no
+				// worker writes values, so reading any destination's current
+				// value is race-free, and a candidate that doesn't improve
+				// it can never survive the coalescing take either. Filtered
+				// candidates are never counted, in either engine.
 				if !p.a.Better(cand, p.vals[c][e.Dst]) {
 					continue
 				}

@@ -1,0 +1,198 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"mega/internal/algo"
+	"mega/internal/evolve"
+	"mega/internal/gen"
+	"mega/internal/graph"
+	"mega/internal/sched"
+)
+
+// smokeWindow is the 2k-vertex perf workload (bench.perfWorkload, the root
+// bench_test.go workload): RMAT 2,048 v / 40,960 e, 16 snapshots, 1%
+// batches, queried from the heaviest hub of G_0.
+func smokeWindow(t testing.TB) (*evolve.Window, graph.VertexID) {
+	t.Helper()
+	spec := gen.GraphSpec{
+		Name: "perf", Vertices: 2_048, Edges: 40_960,
+		A: 0.45, B: 0.15, C: 0.15, MaxWeight: 16, Seed: 77,
+	}
+	ev, err := gen.Evolve(spec, gen.EvolutionSpec{Snapshots: 16, BatchFraction: 0.01, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := evolve.NewWindow(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg := make([]int, spec.Vertices)
+	best := 0
+	for _, e := range ev.Initial {
+		deg[e.Src]++
+		if deg[e.Src] > deg[best] {
+			best = int(e.Src)
+		}
+	}
+	return w, graph.VertexID(best)
+}
+
+// smokeProbedEvents is what a Stats probe counts for SSSP under BOE on the
+// smoke window: the hardware model's event count, which the inflation gate
+// divides by and EXPERIMENTS.md's numbers rest on. Measured on the commit
+// before seeds were generation-filtered; a probed run must never move it.
+const smokeProbedEvents = 28_217
+
+// runMulti runs one sequential engine over srcs (one source: NewMulti) and
+// returns the per-source snapshots and the engine.
+func runMulti(t *testing.T, w *evolve.Window, a algo.Algorithm, s *sched.Schedule, srcs []graph.VertexID, probe Probe) ([][][]float64, *Multi) {
+	t.Helper()
+	m, err := NewMultiSource(w, a, srcs, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][][]float64, len(srcs))
+	for k := range srcs {
+		out[k] = make([][]float64, w.NumSnapshots())
+		for snap := range out[k] {
+			out[k][snap] = m.SnapshotValuesFor(s, k, snap)
+		}
+	}
+	return out, m
+}
+
+// TestSeedFilterEquivalence proves the unprobed engine's generation filter
+// on seeds changes no result and no priced count: over generated windows,
+// all six algorithms (CC seeds every vertex itself), the three schedule
+// modes and single- and multi-source runs, a NopProbe run, a Stats-probed
+// run (whose seed loop is the hardware's, unfiltered) and the parallel
+// engine at 1 and 3 workers return Float64bits-identical snapshots; the
+// filter only ever removes events; and the probed count on the smoke
+// window is the one pinned from before the filter existed.
+func TestSeedFilterEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(1402))
+	type win struct {
+		w   *evolve.Window
+		src graph.VertexID
+	}
+	wins := make([]win, 3)
+	for i := range wins {
+		w := randomWindow(t, r)
+		wins[i] = win{w, graph.VertexID(r.Intn(w.NumVertices()))}
+	}
+	smoke, hub := smokeWindow(t)
+	wins = append(wins, win{smoke, hub})
+
+	kinds := append(append([]algo.Kind{}, algo.All...), algo.CC)
+	for wi, wn := range wins {
+		w := wn.w
+		n := w.NumVertices()
+		srcs := []graph.VertexID{wn.src, graph.VertexID((int(wn.src) + 1) % n), graph.VertexID((int(wn.src) + 2) % n)}
+		for _, mode := range []sched.Mode{sched.DirectHop, sched.WorkSharing, sched.BOE} {
+			s, err := sched.New(mode, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kinds {
+				a := algo.New(k)
+				label := func(what string) string {
+					return fmt.Sprintf("window %d %v %v %s", wi, mode, k, what)
+				}
+				plain, eng := runMulti(t, w, a, s, srcs[:1], nil)
+				var st Stats
+				probed, _ := runMulti(t, w, a, s, srcs[:1], &st)
+				sameBits(t, label("probed"), probed[0], plain[0])
+				if _, _, taken := eng.QueueCounters(); taken > st.Events {
+					t.Fatalf("%s: unprobed run took %d events, probed run %d — the filter may only remove events",
+						label("events"), taken, st.Events)
+				}
+				if w == smoke && mode == sched.BOE && k == algo.SSSP && st.Events != smokeProbedEvents {
+					t.Fatalf("%s: Stats.Events = %d, want the pinned %d", label("probed"), st.Events, smokeProbedEvents)
+				}
+				for _, workers := range []int{1, 3} {
+					p, err := NewParallel(w, a, srcs[0], workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Run(s); err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, label("parallel"), collectSnapshots(p, s, w.NumSnapshots()), plain[0])
+				}
+
+				multi, _ := runMulti(t, w, a, s, srcs, nil)
+				multiProbed, _ := runMulti(t, w, a, s, srcs, &Stats{})
+				sameBits(t, label("multi-source[0]"), multi[0], plain[0])
+				for i := range srcs {
+					sameBits(t, label("multi-source probed"), multiProbed[i], multi[i])
+				}
+				for i := 1; i < len(srcs); i++ {
+					single, _ := runMulti(t, w, a, s, srcs[i:i+1], &Stats{})
+					sameBits(t, label("multi-source vs single"), multi[i], single[0])
+				}
+			}
+		}
+	}
+}
+
+// TestWindowBatchOfConcurrent is what a just-started server does: many
+// goroutines construct an engine on a fresh window at once. Every engine
+// must see the same shared tag slice, built once; run under -race this
+// also proves the memo's publication is ordered.
+func TestWindowBatchOfConcurrent(t *testing.T) {
+	w := testMultiWindow(t, 6, 33)
+	const n = 16
+	engines := make([]*Multi, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			m, err := NewMulti(w, algo.New(algo.SSSP), 0, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			engines[i] = m
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	if t.Failed() {
+		return
+	}
+	want, err := w.BatchOf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != w.Unified().NumUnionEdges() {
+		t.Fatalf("BatchOf has %d tags for %d union edges", len(want), w.Unified().NumUnionEdges())
+	}
+	tagged := 0
+	for _, b := range want {
+		if b >= 0 {
+			tagged++
+		}
+	}
+	batchEdges := 0
+	for _, b := range w.Batches() {
+		batchEdges += len(b.Edges)
+	}
+	if tagged != batchEdges {
+		t.Fatalf("%d union edges carry a batch tag, window has %d batch edges", tagged, batchEdges)
+	}
+	for i, m := range engines {
+		if got := m.BatchOf(); len(got) != len(want) || &got[0] != &want[0] {
+			t.Fatalf("engine %d holds its own tag slice, not the window's", i)
+		}
+	}
+}

@@ -14,6 +14,7 @@
 package evolve
 
 import (
+	"slices"
 	"sync"
 
 	"mega/internal/gen"
@@ -48,6 +49,10 @@ type Window struct {
 
 	commonOnce sync.Once
 	commonCSR  *graph.CSR
+
+	tagsOnce sync.Once
+	batchOf  []int32
+	tagsErr  error
 }
 
 // NewWindow builds a Window from a generated evolution history.
@@ -137,6 +142,46 @@ func (w *Window) CommonCSR() *graph.CSR {
 		w.commonCSR = graph.MustCSR(w.numVertices, w.common)
 	})
 	return w.commonCSR
+}
+
+// BatchOf maps each union edge index of the unified CSR to the ID of the
+// addition batch carrying that edge, or -1 for CommonGraph edges — the
+// version tags of Figure 6. Like the CommonGraph CSR, the map depends only
+// on the window, so it is built once (the error, if any, is memoized with
+// it) and shared read-only by every engine and simulator run. It fails if
+// a non-common edge belongs to more than one batch, which CommonGraph
+// histories never produce.
+func (w *Window) BatchOf() ([]int32, error) {
+	w.tagsOnce.Do(func() { w.batchOf, w.tagsErr = w.buildBatchOf() })
+	return w.batchOf, w.tagsErr
+}
+
+func (w *Window) buildBatchOf() ([]int32, error) {
+	union := w.unified.Union()
+	batchOf := make([]int32, union.NumEdges())
+	for i := range batchOf {
+		batchOf[i] = -1
+	}
+	// The union CSR keeps each vertex's destinations sorted, so a binary
+	// search resolves a batch edge in O(log deg); a linear scan is
+	// O(B·deg) on batches landing on the hubs of skewed graphs.
+	for bi := range w.batches {
+		b := &w.batches[bi]
+		for _, e := range b.Edges {
+			lo, _ := union.EdgeRange(e.Src)
+			dsts, _ := union.OutEdges(e.Src)
+			i, found := slices.BinarySearch(dsts, e.Dst)
+			if !found {
+				return nil, megaerr.Invalidf("evolve: batch %d edge %d->%d missing from union graph", b.ID, e.Src, e.Dst)
+			}
+			idx := int(lo) + i
+			if batchOf[idx] != -1 {
+				return nil, megaerr.Invalidf("evolve: edge %d->%d belongs to batches %d and %d", e.Src, e.Dst, batchOf[idx], b.ID)
+			}
+			batchOf[idx] = int32(b.ID)
+		}
+	}
+	return batchOf, nil
 }
 
 // Batches returns all addition-only batches (do not modify).

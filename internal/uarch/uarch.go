@@ -322,8 +322,10 @@ func newAppliedSet(n int) appliedSet { return make(appliedSet, (n+63)/64) }
 func (b appliedSet) add(i int)       { b[i/64] |= 1 << uint(i%64) }
 func (b appliedSet) has(i int) bool  { return b[i/64]&(1<<uint(i%64)) != 0 }
 func newMachine(w *evolve.Window, a algo.Algorithm, src graph.VertexID, cfg Config) (*machine, error) {
-	// Reuse the functional engine's construction for the edge→batch map.
-	seq, err := engine.NewMulti(w, a, src, nil)
+	if int(src) >= w.NumVertices() {
+		return nil, megaerr.Invalidf("uarch: source vertex %d outside [0,%d)", src, w.NumVertices())
+	}
+	batchOf, err := w.BatchOf()
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +335,7 @@ func newMachine(w *evolve.Window, a algo.Algorithm, src graph.VertexID, cfg Conf
 		u:         w.Unified(),
 		src:       src,
 		win:       w,
-		batchOf:   seq.BatchOf(),
+		batchOf:   batchOf,
 		cache:     newLRU(cfg.EdgeCacheBytes),
 		chanBusy:  make([]int64, cfg.DRAMChannels),
 		chanBytes: make([]int64, cfg.DRAMChannels),
