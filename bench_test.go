@@ -395,14 +395,14 @@ func BenchmarkLayerNewMulti(b *testing.B) {
 
 func layerEvaluateContext(b *testing.B) {
 	_, win, _, src := benchWorkload(b)
-	evaluateContextLoop(b, win, src)
+	evaluateContextLoop(b, win, mega.SSSP, src)
 }
 
-func evaluateContextLoop(b *testing.B, win *evolve.Window, src mega.VertexID) {
+func evaluateContextLoop(b *testing.B, win *evolve.Window, k mega.AlgorithmKind, src mega.VertexID) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mega.EvaluateContext(context.Background(), win, mega.SSSP, src); err != nil {
+		if _, err := mega.EvaluateContext(context.Background(), win, k, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,10 +410,13 @@ func evaluateContextLoop(b *testing.B, win *evolve.Window, src mega.VertexID) {
 
 // BenchmarkLayerEvaluateContextWen is the bare-engine row at the paper
 // stand-in scale, where the per-event work dominates what is fixed per
-// query.
+// query — one sub-benchmark per algorithm of the key cycle the benchmark's
+// cold-wen workload serves, so the ledger prices what that workload runs.
 func BenchmarkLayerEvaluateContextWen(b *testing.B) {
 	win, src := wenWorkload(b)
-	evaluateContextLoop(b, win, src)
+	for _, k := range []mega.AlgorithmKind{mega.SSSP, mega.BFS, mega.SSWP, mega.Viterbi} {
+		b.Run(k.String(), func(b *testing.B) { evaluateContextLoop(b, win, k, src) })
+	}
 }
 
 func layerEvaluateRecover(b *testing.B, opt mega.RecoverOptions) {
@@ -514,6 +517,13 @@ const (
 	smokeSinkCRC         = 0x47b02346
 )
 
+// B/op of one SSSP EvaluateContext from the hub on the commit before the
+// engine's state became vertex-major, on the smoke window and at Wen′.
+const (
+	smokeEngineBytes = 1_271_214
+	wenEngineBytes   = 16_480_305
+)
+
 // TestRecoverNoSinkIsPayAsYouGo is the deterministic proxy gate for the
 // recovery wrapper's cost (wired into ci.sh): with no Sink or Store a
 // fault-free EvaluateRecover encodes no checkpoint and allocates within
@@ -567,6 +577,22 @@ func TestRecoverNoSinkIsPayAsYouGo(t *testing.T) {
 	t.Logf("B/op: EvaluateContext %d, EvaluateRecover (no sink) %d (%.2fx)", bare, wrapped, float64(wrapped)/float64(bare))
 	if bare == 0 || float64(wrapped) > 1.25*float64(bare) {
 		t.Errorf("no-sink EvaluateRecover allocates %d B/op, over 1.25x EvaluateContext's %d", wrapped, bare)
+	}
+	// Ceilings on the bare engine itself, at both scales: what the
+	// context-major layout the engine had before its rows went vertex-major
+	// allocated per query. The transposed result and the queues' rows must
+	// together stay under it. (The ratio above survives -race; an absolute
+	// count does not.)
+	if !raceEnabled {
+		wen := testing.Benchmark(func(b *testing.B) {
+			win, src := wenWorkload(b)
+			evaluateContextLoop(b, win, mega.SSSP, src)
+		}).AllocedBytesPerOp()
+		t.Logf("B/op: EvaluateContext at Wen' %d", wen)
+		if bare > smokeEngineBytes || wen > wenEngineBytes {
+			t.Errorf("EvaluateContext allocates %d B/op (smoke) and %d B/op (Wen'), over the ceilings %d and %d",
+				bare, wen, smokeEngineBytes, wenEngineBytes)
+		}
 	}
 
 	// The tag slice NewMulti used to build per engine: 4 bytes per union

@@ -14,6 +14,21 @@ if [ -n "$fmt_dirty" ]; then
 fi
 go vet ./...
 go build ./...
+# Size of the thing being maintained, in every log: non-test Go lines
+# outside the benchmark's own module.
+find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	-exec cat {} + | wc -l | sed 's/^ */non-test Go lines: /'
+# Inlining guard: the served engine loops call ops.better and ops.edge
+# once per edge relaxation, and their speed over the algo.Algorithm
+# interface is that both inline. An edit that pushes either over the
+# inliner's budget loses it silently; this does not.
+[ "$(go build -gcflags=-m ./internal/engine 2>&1 |
+	grep -c -E 'can inline ops\.(better|edge)$')" = 2 ]
+# Tier-1 on one core and oversubscribed: the engine and the service size
+# themselves from GOMAXPROCS, and both multicore bugs fixed so far
+# reproduce this way on any host.
+GOMAXPROCS=1 go test ./...
+GOMAXPROCS=4 go test ./...
 # -shuffle=on randomizes test order so inter-test state dependencies
 # (shared registries, leaked globals) fail loudly instead of by luck.
 go test -race -shuffle=on ./...
@@ -28,12 +43,14 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # 2.045x); the pre-coalescing engine measured 3.34x at every worker
 # count, so a regression that reopens the gap fails loudly.
 go run ./cmd/megabench -inflation-gate "${INFLATION_MAX:-2.10}"
-# Seed-filter gate: the sequential count the gate above divides by is a
-# Stats-probed run, whose seeds are the hardware's (one event per batch
-# edge and context, discarded at the PEs); without a probe the engine
+# Two-loop gate: the sequential count the gate above divides by is a
+# Stats-probed run — the engine's instrumented loop, whose seeds are the
+# hardware's (one event per batch edge and context, discarded at the PEs);
+# a served query (no probe, built-in algorithm) runs the other loop, which
 # drops non-improving seeds at generation. This pins the probed count
-# (28,217 on the same workload) and proves the two seed loops, and the
-# parallel engine, agree bit for bit on generated windows.
+# (28,217 on the same workload) and proves the two loops, and the parallel
+# engine, agree bit for bit on generated windows, past 64 contexts, and
+# across a mid-run checkpoint handed from one to the other.
 go test -count=1 -run '^TestSeedFilterEquivalence$' ./internal/engine/
 # Pay-as-you-go recovery gate, deterministic like the one above (counts
 # and B/op, no wall-clock): a fault-free EvaluateRecover with no Sink or

@@ -111,6 +111,19 @@ func New(k Kind) Algorithm {
 	}
 }
 
+// Builtin reports whether a is one of this package's own concrete
+// algorithm types, and if so which. The test is on the dynamic type, not
+// on Kind(): a wrapper that embeds a built-in and overrides a method still
+// reports the built-in's kind, and engines that specialise their loops for
+// the built-ins must not take such a wrapper's ops for the original's.
+func Builtin(a Algorithm) (Kind, bool) {
+	switch a.(type) {
+	case bfs, sssp, sswp, ssnp, viterbi, cc:
+		return a.Kind(), true
+	}
+	return 0, false
+}
+
 // cc computes connected components by minimum-label propagation:
 // Val(v) = min(v, min over in-edges of Val(u)). Monotone and
 // addition-incremental like the Table 1 algorithms, but self-seeding.

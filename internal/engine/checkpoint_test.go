@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"mega/internal/algo"
@@ -386,6 +387,51 @@ func TestCheckpointRefusesTornState(t *testing.T) {
 				t.Fatalf("Checkpoint returned %d bytes, want a refusal", len(ckpt))
 			}
 		})
+	}
+}
+
+// TestCheckpointStrayEventIsAudited: neither engine writes a checkpoint
+// whose queue names a context its stage does not compute, but one decodes.
+// Both loops take only the stage's computing contexts and drop the rest of
+// a vertex's row with it, so the stray event is pushed and never taken and
+// the strict conservation audit fails the run, whichever loop resumes it.
+func TestCheckpointStrayEventIsAudited(t *testing.T) {
+	w := testMultiWindow(t, 6, 87)
+	a := algo.New(algo.SSSP)
+	s, _ := sched.New(sched.BOE, w)
+	for _, probe := range []Probe{nil, &Stats{}} {
+		mk := func() liveEngine {
+			m, _ := NewMulti(w, a, 0, probe)
+			return m
+		}
+		st, err := DecodeCheckpoint(midRunCheckpoint(t, "victim", s, fault.SiteEngineRound, mk))
+		if err != nil || !st.inRounds || len(st.queue) == 0 {
+			t.Fatalf("mid-run checkpoint: err %v, state %+v", err, st)
+		}
+		idle := make([]bool, s.NumContexts)
+		for c := range idle {
+			idle[c] = st.vals[c] != nil
+		}
+		for _, op := range s.Ops[st.stageStart:] {
+			if op.Stage == s.Ops[st.stageStart].Stage && op.Kind == sched.OpApply {
+				for _, c := range computing(op) {
+					idle[c] = false
+				}
+			}
+		}
+		stray := slices.Index(idle, true)
+		if stray < 0 {
+			t.Fatal("every context computes in the checkpointed stage")
+		}
+		st.queue[0].ctx = int32(stray)
+		m := mk()
+		if err := m.Restore(st.encode()); err != nil {
+			t.Fatal(err)
+		}
+		var audit *megaerr.AuditError
+		if err := m.RunContext(context.Background(), s, Limits{}); !errors.As(err, &audit) || audit.Invariant != "engine.queue_conservation" {
+			t.Fatalf("probe %v: resumed run returned %v, want the queue-conservation audit", probe, err)
+		}
 	}
 }
 

@@ -75,10 +75,11 @@ func TestMultiDivergenceWatchdog(t *testing.T) {
 	}
 }
 
-func TestParallelDivergenceWatchdog(t *testing.T) {
-	// The cycle must live in a batch: Parallel's base solve runs on the
-	// sequential engine, whose own watchdog would trip first on a common
-	// cycle. Snapshot 1 adds the back edge that closes the loop.
+// batchCycleWindow is cycleWindow with the cycle closed by a batch: the
+// base solve converges even for flipFlop, and snapshot 1 adds the back edge
+// that makes the batch application ping-pong.
+func batchCycleWindow(t *testing.T) *evolve.Window {
+	t.Helper()
 	initial := graph.EdgeList{
 		{Src: 0, Dst: 1, Weight: 1},
 		{Src: 1, Dst: 2, Weight: 1},
@@ -89,6 +90,14 @@ func TestParallelDivergenceWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+func TestParallelDivergenceWatchdog(t *testing.T) {
+	// The cycle must live in a batch: Parallel's base solve runs on the
+	// sequential engine, whose own watchdog would trip first on a common
+	// cycle.
+	w := batchCycleWindow(t)
 	s, err := sched.New(sched.BOE, w)
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +172,13 @@ func (p panicky) EdgeFunc(srcVal, weight float64) float64 {
 	return p.Algorithm.EdgeFunc(srcVal, weight)
 }
 
-func TestParallelWorkerPanicContained(t *testing.T) {
-	// Common graph: 0→1 and 5→6, all weight 1; vertex 5 is unreachable in
-	// the base solve, so the sequential base pass never sees a big value.
-	// The batch edge 0→5 (weight 100) seeds value 100 at vertex 5; the
-	// worker that then propagates 5→6 calls EdgeFunc(100, 1) and panics.
+// panickyWindow trips panicky only inside a batch application. Common
+// graph: 0→1 and 5→6, all weight 1; vertex 5 is unreachable in the base
+// solve, so the base pass never sees a big value. The batch edge 0→5
+// (weight 100) seeds value 100 at vertex 5; propagating 5→6 then calls
+// EdgeFunc(100, 1) and panics.
+func panickyWindow(t *testing.T) *evolve.Window {
+	t.Helper()
 	initial := graph.EdgeList{
 		{Src: 0, Dst: 1, Weight: 1},
 		{Src: 5, Dst: 6, Weight: 1},
@@ -178,6 +189,11 @@ func TestParallelWorkerPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+func TestParallelWorkerPanicContained(t *testing.T) {
+	w := panickyWindow(t)
 	s, err := sched.New(sched.BOE, w)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"mega/internal/algo"
 	"mega/internal/evolve"
@@ -45,10 +46,38 @@ type Multi struct {
 
 	baseVals []float64 // query solved on the CommonGraph (lazily built)
 
-	vals    [][]float64
-	applied []batchSet
+	// Run state, vertex-major: everything the round loop reads or writes
+	// for one vertex — every context's value, pending candidate and tag —
+	// sits in that vertex's row, so relaxing an edge for all the contexts of
+	// a Δ+ stage touches a row at each end rather than one array per
+	// context. numCtx is the row length (the expanded schedule's context
+	// count) and words the mask words that many contexts need.
+	numCtx   int
+	words    int
+	vals     []float64 // [v*numCtx+c]
+	inited   []bool    // context c holds values (OpInit, OpCopy or a restore)
+	batchCtx []uint64  // [b*words+c/64] bit c%64: context c has applied batch b
 
-	cur, next *roundQueue
+	// cols is vals transposed into one contiguous slice per initialised
+	// context — what Values hands out and checkpoints encode. Every write
+	// to vals clears colsFresh; while colsPartial, the rows written since
+	// cols was last current are all on the dirty list, so bringing it up to
+	// date again copies those rows, not the matrix.
+	cols        [][]float64
+	colsFresh   bool
+	colsPartial bool
+
+	cur, next *ctxQueue
+
+	// Which of the two round loops runs is fixed at construction from what
+	// the engine can observe. served: nobody prices the run (NopProbe) and
+	// the algorithm is one of algo's built-ins, so the loops use its ops by
+	// value, walk the set bits of a row's mask and drop seeds that do not
+	// improve their target. Otherwise the instrumented loops run: interface
+	// ops, the hardware's seed loop, compute-order iteration and every
+	// probe callback.
+	served bool
+	o      ops
 
 	// lifecycle state, set for the duration of RunContext.
 	ran    bool
@@ -89,11 +118,16 @@ type Multi struct {
 	auditOn                     bool
 	reg                         *metrics.Registry
 
-	// scratch state reused across ops.
-	updating  []int
-	updBatch  []int32
-	dirty     []graph.VertexID
-	dirtyMark []bool
+	// scratch state reused across ops and stages.
+	books, applies []sched.Op
+	moves          []bookMove
+	compute        []int
+	stageMask      []uint64 // contexts computed by one op of the stage, then by two
+	upd            []uint64 // served loop: contexts that improved at the current vertex
+	updating       []int
+	updBatch       []int32
+	dirty          []graph.VertexID
+	dirtyMark      []bool
 }
 
 // SetFetchSharing toggles cross-snapshot adjacency-fetch reuse (default
@@ -164,41 +198,113 @@ func (m *Multi) windowFingerprint() []ckptBatch {
 // snapshotState captures the engine's live state for encoding. At stage
 // boundaries the queue is empty and the dirty list is stale scratch, so
 // both are omitted.
+// The checkpoint format is per context, so the values are transposed and
+// the per-batch context masks gathered into per-context batch sets.
 func (m *Multi) snapshotState() *checkpointState {
+	m.transpose()
 	st := &checkpointState{
 		algoKind:   uint32(m.a.Kind()),
 		source:     uint32(m.src),
 		numVerts:   uint32(m.w.NumVertices()),
-		numCtx:     uint32(len(m.vals)),
+		numCtx:     uint32(m.numCtx),
 		batches:    m.windowFingerprint(),
 		schedHash:  m.schedHash,
 		stageStart: uint32(m.curStage),
 		inRounds:   m.inRounds,
 		events:     m.events,
 		baseVals:   m.baseVals,
-		vals:       m.vals,
-		applied:    m.applied,
+		vals:       m.cols,
+		applied:    m.appliedSets(),
 	}
 	if m.inRounds {
 		st.round = uint32(m.curRound)
-		st.queue = dumpRoundQueue(m.cur)
+		st.queue = m.cur.dump()
 		st.dirty = m.dirty
 	}
 	return st
 }
 
-// dumpRoundQueue lists a queue's coalesced pending entries in touched
-// order (ties within a vertex by ascending context).
-func dumpRoundQueue(q *roundQueue) []ckptEntry {
-	out := make([]ckptEntry, 0, q.count)
-	for _, v := range q.touched {
-		for c := range q.has {
-			if q.has[c][v] {
-				out = append(out, ckptEntry{ctx: int32(c), v: v, val: q.pending[c][v], tag: q.batch[c][v]})
+// transpose brings cols up to date with vals: the dirty rows when those are
+// known to be all that changed, otherwise the whole matrix, one block of
+// rows at a time so that a block is read from cache once per context it is
+// written to.
+func (m *Multi) transpose() {
+	if m.colsFresh {
+		return
+	}
+	n, nc := m.w.NumVertices(), m.numCtx
+	m.colsFresh = true
+	if m.colsPartial {
+		for _, v := range m.dirty {
+			for c, col := range m.cols {
+				if col != nil {
+					col[v] = m.vals[int(v)*nc+c]
+				}
+			}
+		}
+		return
+	}
+	m.colsPartial = true
+	if m.cols == nil {
+		m.cols = make([][]float64, nc)
+	}
+	var backing []float64
+	for c, ok := range m.inited {
+		if ok && m.cols[c] == nil {
+			if backing == nil {
+				backing = make([]float64, n*nc)
+			}
+			m.cols[c] = backing[c*n : (c+1)*n : (c+1)*n]
+		}
+	}
+	block := max(1, 1024/max(nc, 1))
+	for v0 := 0; v0 < n; v0 += block {
+		v1 := min(v0+block, n)
+		for c, col := range m.cols {
+			if col == nil {
+				continue
+			}
+			for v := v0; v < v1; v++ {
+				col[v] = m.vals[v*nc+c]
+			}
+		}
+	}
+}
+
+// appliedSets gathers each initialised context's applied batches out of
+// the per-batch context masks.
+func (m *Multi) appliedSets() []batchSet {
+	numBatches := len(m.w.Batches())
+	setWords := (numBatches + 63) / 64
+	out := make([]batchSet, m.numCtx)
+	backing := make(batchSet, m.numCtx*setWords)
+	for c, ok := range m.inited {
+		if !ok {
+			continue
+		}
+		out[c] = backing[c*setWords : (c+1)*setWords]
+		for b := 0; b < numBatches; b++ {
+			if m.hasApplied(c, b) {
+				out[c].add(b)
 			}
 		}
 	}
 	return out
+}
+
+// hasApplied reports whether context c has applied batch b.
+func (m *Multi) hasApplied(c, b int) bool {
+	return m.batchCtx[b*m.words+c>>6]&(1<<(uint(c)&63)) != 0
+}
+
+// setApplied records (on) or forgets that context c has applied batch b.
+func (m *Multi) setApplied(c, b int, on bool) {
+	w, bit := b*m.words+c>>6, uint64(1)<<(uint(c)&63)
+	if on {
+		m.batchCtx[w] |= bit
+	} else {
+		m.batchCtx[w] &^= bit
+	}
 }
 
 // takeCheckpoint encodes the current state, retains it, and forwards it
@@ -228,6 +334,7 @@ func NewMulti(w *evolve.Window, a algo.Algorithm, src graph.VertexID, probe Prob
 	if err != nil {
 		return nil, err
 	}
+	o, served := servedOps(a, probe)
 	return &Multi{
 		w:         w,
 		u:         w.Unified(),
@@ -235,7 +342,8 @@ func NewMulti(w *evolve.Window, a algo.Algorithm, src graph.VertexID, probe Prob
 		src:       src,
 		probe:     probe,
 		batchOf:   batchOf,
-		updating:  make([]int, 0, 8),
+		served:    served,
+		o:         o,
 		dirtyMark: make([]bool, w.NumVertices()),
 		auditOn:   metrics.Strict(),
 	}, nil
@@ -383,10 +491,7 @@ func (m *Multi) AuditQueues() []metrics.AuditResult {
 	out := make([]metrics.AuditResult, 0, 2)
 	live := 0
 	if m.cur != nil {
-		live += m.cur.count
-	}
-	if m.next != nil {
-		live += m.next.count
+		live = m.cur.count + m.next.count
 	}
 	ok := m.qPushed-m.qCoalesced == m.qTaken
 	detail := fmt.Sprintf("pushed %d - coalesced %d = %d, taken %d",
@@ -504,10 +609,15 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 	}
 	m.schedHash = hashSchedule(s)
 	n := m.w.NumVertices()
-	m.vals = make([][]float64, s.NumContexts)
-	m.applied = make([]batchSet, s.NumContexts)
-	m.cur = newRoundQueue(s.NumContexts, n)
-	m.next = newRoundQueue(s.NumContexts, n)
+	m.numCtx = s.NumContexts
+	m.words = (m.numCtx + 63) / 64
+	m.vals = make([]float64, n*m.numCtx)
+	m.inited = make([]bool, m.numCtx)
+	m.batchCtx = make([]uint64, len(m.w.Batches())*m.words)
+	scratch := make([]uint64, 3*m.words)
+	m.stageMask, m.upd = scratch[:2*m.words], scratch[2*m.words:]
+	m.cur = newCtxQueue(m.numCtx, n, 0)
+	m.next = newCtxQueue(m.numCtx, n, 0)
 	if st != nil {
 		// Install the checkpointed state: values, applied sets, the base
 		// solution, the watchdog's event count, and — when the checkpoint
@@ -516,10 +626,16 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 		if st.baseVals != nil {
 			m.baseVals = st.baseVals
 		}
-		for c := range st.vals {
-			if st.vals[c] != nil {
-				m.vals[c] = st.vals[c]
-				m.applied[c] = st.applied[c]
+		for c, col := range st.vals {
+			if col == nil {
+				continue
+			}
+			m.inited[c] = true
+			for v, x := range col {
+				m.vals[v*m.numCtx+c] = x
+			}
+			for b := range m.w.Batches() {
+				m.setApplied(c, b, st.applied[c].has(b))
 			}
 		}
 		for _, e := range st.queue {
@@ -541,7 +657,7 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 		}
 		stageFirst := i
 		stage := s.Ops[i].Stage
-		var books, applies []sched.Op
+		books, applies := m.books[:0], m.applies[:0]
 		for ; i < len(s.Ops) && s.Ops[i].Stage == stage; i++ {
 			op := s.Ops[i]
 			if op.Kind == sched.OpApply {
@@ -550,6 +666,7 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 				books = append(books, op)
 			}
 		}
+		m.books, m.applies = books, applies
 		if st != nil {
 			if i <= int(st.stageStart) {
 				continue // stage completed before the checkpoint
@@ -580,10 +697,8 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 				return err
 			}
 		}
-		for _, op := range books {
-			if err := m.runOp(op); err != nil {
-				return err
-			}
+		if err := m.runBooks(books); err != nil {
+			return err
 		}
 		if len(applies) > 0 {
 			if err := m.runApplies(applies); err != nil {
@@ -606,12 +721,14 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 }
 
 // Values returns context ctx's value array (nil if never initialized or
-// before Run).
+// before Run). The per-context arrays are materialised from the engine's
+// vertex-major state by one transpose on first use after the run.
 func (m *Multi) Values(ctx int) []float64 {
-	if ctx < 0 || ctx >= len(m.vals) {
+	if ctx < 0 || ctx >= len(m.inited) || !m.inited[ctx] {
 		return nil
 	}
-	return m.vals[ctx]
+	m.transpose()
+	return m.cols[ctx]
 }
 
 // SnapshotValues returns snapshot snap's final values under schedule s,
@@ -640,52 +757,83 @@ func (m *Multi) SnapshotValuesFor(s *sched.Schedule, srcIdx, snap int) []float64
 	return m.Values(srcIdx*m.nc + s.SnapshotCtx[snap])
 }
 
-func (m *Multi) runOp(op sched.Op) error {
-	switch op.Kind {
-	case sched.OpInit:
-		if op.Ctx >= len(m.vals) {
-			return megaerr.Invalidf("engine: OpInit context %d out of range", op.Ctx)
-		}
-		srcIdx := 0
-		if len(m.srcs) > 1 {
-			srcIdx = op.Ctx / m.nc
-		}
-		base, err := m.ensureBaseFor(srcIdx)
-		if err != nil {
-			return err
-		}
-		if m.vals[op.Ctx] == nil {
-			m.vals[op.Ctx] = make([]float64, len(base))
-			m.applied[op.Ctx] = newBatchSet(len(m.w.Batches()))
-		}
-		copy(m.vals[op.Ctx], base)
-		m.applied[op.Ctx].clear()
-		m.probe.OpStart("init", 0, 1)
-		m.probe.ValueCopy(len(base), 1)
-		m.probe.OpEnd()
+// runBooks executes a stage's bookkeeping ops (init/copy). Validation, the
+// applied sets and the probe callbacks go op by op; the values move in one
+// pass over the rows with every op applied to a row in order, which is the
+// same as applying each op to the whole matrix in turn (an op reads and
+// writes only its own row) and touches each row once instead of once per op.
+func (m *Multi) runBooks(books []sched.Op) error {
+	if len(books) == 0 {
 		return nil
-
-	case sched.OpCopy:
-		if m.vals[op.From] == nil {
-			return megaerr.Invalidf("engine: OpCopy from uninitialized context %d", op.From)
-		}
-		if m.vals[op.Ctx] == nil {
-			m.vals[op.Ctx] = make([]float64, len(m.vals[op.From]))
-			m.applied[op.Ctx] = newBatchSet(len(m.w.Batches()))
-		}
-		copy(m.vals[op.Ctx], m.vals[op.From])
-		m.applied[op.Ctx].copyFrom(m.applied[op.From])
-		m.probe.OpStart("copy", 0, 1)
-		m.probe.ValueCopy(len(m.vals[op.Ctx]), 1)
-		m.probe.OpEnd()
-		return nil
-
-	case sched.OpApply:
-		return m.runApplies([]sched.Op{op})
-
-	default:
-		return megaerr.Invalidf("engine: unknown op kind %d", int(op.Kind))
 	}
+	n, nc := m.w.NumVertices(), m.numCtx
+	moves := m.moves[:0]
+	for _, op := range books {
+		mv := bookMove{ctx: op.Ctx, from: op.From}
+		switch op.Kind {
+		case sched.OpInit:
+			if op.Ctx >= nc {
+				return megaerr.Invalidf("engine: OpInit context %d out of range", op.Ctx)
+			}
+			srcIdx := 0
+			if len(m.srcs) > 1 {
+				srcIdx = op.Ctx / m.nc
+			}
+			base, err := m.ensureBaseFor(srcIdx)
+			if err != nil {
+				return err
+			}
+			mv.base = base
+			for b := range m.w.Batches() {
+				m.setApplied(op.Ctx, b, false)
+			}
+			m.probe.OpStart("init", 0, 1)
+		case sched.OpCopy:
+			if !m.inited[op.From] {
+				return megaerr.Invalidf("engine: OpCopy from uninitialized context %d", op.From)
+			}
+			for b := range m.w.Batches() {
+				m.setApplied(op.Ctx, b, m.hasApplied(op.From, b))
+			}
+			m.probe.OpStart("copy", 0, 1)
+		default:
+			return megaerr.Invalidf("engine: unknown op kind %d", int(op.Kind))
+		}
+		m.inited[op.Ctx] = true
+		m.probe.ValueCopy(n, 1)
+		m.probe.OpEnd()
+		moves = append(moves, mv)
+	}
+	m.moves = moves
+	m.colsFresh, m.colsPartial = false, false
+	for v := 0; v < n; v++ {
+		row := m.vals[v*nc : (v+1)*nc]
+		for _, mv := range moves {
+			if mv.base != nil {
+				row[mv.ctx] = mv.base[v]
+			} else {
+				row[mv.ctx] = row[mv.from]
+			}
+		}
+	}
+	return nil
+}
+
+// bookMove is one bookkeeping op as the row pass applies it: context ctx
+// takes base's value for the row's vertex, or context from's when base is
+// nil.
+type bookMove struct {
+	ctx, from int
+	base      []float64
+}
+
+// computing returns the contexts that run op's incremental update: all of
+// its targets, or only the first when the result is broadcast.
+func computing(op sched.Op) []int {
+	if op.SharedCompute {
+		return op.Targets[:1]
+	}
+	return op.Targets
 }
 
 // runApplies executes one stage's batch applications concurrently: all
@@ -705,40 +853,62 @@ func (m *Multi) runApplies(ops []sched.Op) error {
 	// Mark batches applied first so propagation traverses their edges,
 	// then seed: the batch reader streams each batch and generates one
 	// event per (edge, computing context) whose source side is reachable.
-	// As in the hardware, seeds that do not improve their target are
-	// processed and discarded at the PEs, not filtered at generation —
-	// that is the work a Probe prices. With nobody pricing it (NopProbe)
-	// such a seed is dropped here, the filter runRounds applies to
-	// propagated events: it could only be taken and discarded, or lose its
-	// slot to an improving seed, so no value changes.
-	_, unpriced := m.probe.(NopProbe)
 	for _, op := range ops {
-		opCompute := op.Targets
-		if op.SharedCompute {
-			opCompute = op.Targets[:1]
+		for _, c := range computing(op) {
+			m.setApplied(c, op.Batch.ID, true)
 		}
-		for _, c := range opCompute {
-			m.applied[c].add(op.Batch.ID)
-		}
-		for _, e := range op.Batch.Edges {
-			for _, c := range opCompute {
-				srcVal := m.vals[c][e.Src]
-				if srcVal == m.a.Identity() {
-					continue
-				}
-				cand := m.a.EdgeFunc(srcVal, e.Weight)
-				if unpriced && !m.a.Better(cand, m.vals[c][e.Dst]) {
-					continue
-				}
-				if m.countPush(m.cur.push(m.a, c, e.Dst, cand, int32(op.Batch.ID))) {
-					m.probe.Generated(e.Dst, c)
-				}
-			}
+		if m.served {
+			m.seedServed(op)
+		} else {
+			m.seed(op)
 		}
 	}
 
+	// The dirty list starts over: rows it held that cols has not seen yet
+	// can only be caught up with by a whole transpose.
+	m.colsPartial = m.colsPartial && m.colsFresh
 	m.dirty = m.dirty[:0]
 	return m.finishApplies(ops, compute, 0)
+}
+
+// seed is the hardware's seed loop: seeds that do not improve their target
+// are processed and discarded at the PEs, not filtered at generation — that
+// is the work a Probe prices.
+func (m *Multi) seed(op sched.Op) {
+	nc, compute := m.numCtx, computing(op)
+	for _, e := range op.Batch.Edges {
+		for _, c := range compute {
+			srcVal := m.vals[int(e.Src)*nc+c]
+			if srcVal == m.a.Identity() {
+				continue
+			}
+			cand := m.a.EdgeFunc(srcVal, e.Weight)
+			if m.countPush(m.cur.push(m.a, c, e.Dst, cand, int32(op.Batch.ID))) {
+				m.probe.Generated(e.Dst, c)
+			}
+		}
+	}
+}
+
+// seedServed is the seed loop with nobody pricing it: a seed that does not
+// improve its target is dropped here, the filter the round loop applies to
+// propagated events. It could only be taken and discarded, or lose its slot
+// to an improving seed, so no value changes.
+func (m *Multi) seedServed(op sched.Op) {
+	o, nc, ident := m.o, m.numCtx, m.a.Identity()
+	compute, tag := computing(op), int32(op.Batch.ID)
+	for _, e := range op.Batch.Edges {
+		from := m.vals[int(e.Src)*nc : (int(e.Src)+1)*nc]
+		to := m.vals[int(e.Dst)*nc : (int(e.Dst)+1)*nc]
+		for _, c := range compute {
+			if from[c] == ident {
+				continue
+			}
+			if cand := o.edge(from[c], e.Weight); o.better(cand, to[c]) {
+				m.countPush(m.cur.pushBuiltin(o, c, e.Dst, cand, tag))
+			}
+		}
+	}
 }
 
 // resumeApplies re-enters an interrupted stage at a round-boundary
@@ -758,34 +928,35 @@ func (m *Multi) resumeApplies(ops []sched.Op, round int) error {
 // applyCompute validates a stage's apply ops and derives its computing
 // context set and streamed-edge total.
 func (m *Multi) applyCompute(ops []sched.Op) (compute []int, totalEdges int, err error) {
-	seen := make(map[int]int) // context -> number of ops computing on it
+	once, twice := m.stageMask[:m.words], m.stageMask[m.words:]
+	clear(m.stageMask)
+	compute = m.compute[:0]
 	for _, op := range ops {
 		if len(op.Targets) == 0 {
 			return nil, 0, megaerr.Invalidf("engine: OpApply with no targets")
 		}
-		opCompute := op.Targets
-		if op.SharedCompute {
-			opCompute = op.Targets[:1]
-		}
-		for _, c := range opCompute {
-			if m.vals[c] == nil {
+		for _, c := range computing(op) {
+			if !m.inited[c] {
 				return nil, 0, megaerr.Invalidf("engine: OpApply to uninitialized context %d", c)
 			}
-			if seen[c] == 0 {
+			bit := uint64(1) << (uint(c) & 63)
+			if once[c>>6]&bit == 0 {
 				compute = append(compute, c)
 			}
-			seen[c]++
+			twice[c>>6] |= once[c>>6] & bit
+			once[c>>6] |= bit
 		}
 		// The batch reader streams each batch once; events for all
 		// computing contexts are generated from the single read.
 		totalEdges += len(op.Batch.Edges)
 	}
+	m.compute = compute
 	// A shared-compute op's broadcast replays exactly its own batch's
 	// effect, so its computing context must not also receive another
 	// op's seeds within this stage.
 	for _, op := range ops {
-		if op.SharedCompute && seen[op.Targets[0]] > 1 {
-			return nil, 0, megaerr.Invalidf("engine: shared-compute context %d also computed by another op of the stage", op.Targets[0])
+		if c := op.Targets[0]; op.SharedCompute && twice[c>>6]&(1<<(uint(c)&63)) != 0 {
+			return nil, 0, megaerr.Invalidf("engine: shared-compute context %d also computed by another op of the stage", c)
 		}
 	}
 	return compute, totalEdges, nil
@@ -795,7 +966,13 @@ func (m *Multi) applyCompute(ops []sched.Op) (compute []int, totalEdges int, err
 // shared-compute broadcasts. Both entry points (fresh and resumed stages)
 // converge here with the queue seeded and batches marked.
 func (m *Multi) finishApplies(ops []sched.Op, compute []int, startRound int) error {
-	if err := m.runRounds(compute, startRound); err != nil {
+	var err error
+	if m.served {
+		err = m.runRoundsServed(startRound)
+	} else {
+		err = m.runRounds(compute, startRound)
+	}
+	if err != nil {
 		m.probe.OpEnd()
 		return err
 	}
@@ -804,24 +981,29 @@ func (m *Multi) finishApplies(ops []sched.Op, compute []int, startRound int) err
 	// before the stage and only Targets[0] computed, so copying the
 	// changed values (and the batch bit) reproduces the computation for
 	// every remaining target.
+	nc := m.numCtx
 	for _, op := range ops {
 		if !op.SharedCompute || len(op.Targets) < 2 {
 			continue
 		}
-		src := op.Targets[0]
-		changed := 0
-		for _, c := range op.Targets[1:] {
-			if m.vals[c] == nil {
+		src, rest := op.Targets[0], op.Targets[1:]
+		for _, c := range rest {
+			if !m.inited[c] {
 				m.probe.OpEnd()
 				return megaerr.Invalidf("engine: broadcast to uninitialized context %d", c)
 			}
-			for _, v := range m.dirty {
-				if m.vals[c][v] != m.vals[src][v] {
-					m.vals[c][v] = m.vals[src][v]
+			m.setApplied(c, op.Batch.ID, true)
+		}
+		changed := 0
+		m.colsFresh = false
+		for _, v := range m.dirty {
+			row := m.vals[int(v)*nc : (int(v)+1)*nc]
+			for _, c := range rest {
+				if row[c] != row[src] {
+					row[c] = row[src]
 					changed++
 				}
 			}
-			m.applied[c].add(op.Batch.ID)
 		}
 		m.probe.ValueCopy(changed, 1)
 	}
@@ -829,49 +1011,72 @@ func (m *Multi) finishApplies(ops []sched.Op, compute []int, startRound int) err
 	return nil
 }
 
-// runRounds drains the current queue to quiescence for the given computing
-// contexts, recording vertices whose values changed in m.dirty. Each round
-// boundary checks the run's context and the divergence watchdog.
-func (m *Multi) runRounds(compute []int, startRound int) error {
-	m.inRounds = true
-	round := startRound
-	for m.cur.count > 0 {
-		m.curRound = round
-		if err := checkCtx(m.ctx, "engine round"); err != nil {
+// roundBoundary is the top of a round in either loop: the run's context,
+// the divergence watchdog, the checkpoint cadence and the round fault site,
+// in that order.
+func (m *Multi) roundBoundary(round int) error {
+	m.curRound = round
+	if err := checkCtx(m.ctx, "engine round"); err != nil {
+		return err
+	}
+	if m.limits.roundsExceeded(round) || m.limits.eventsExceeded(m.events) {
+		return divergence(m.limits, round, m.events, m.cur)
+	}
+	if m.ckptEvery > 0 && round%m.ckptEvery == 0 {
+		if err := m.takeCheckpoint(); err != nil {
 			return err
 		}
-		if m.limits.roundsExceeded(round) || m.limits.eventsExceeded(m.events) {
-			return m.divergence("engine", round)
-		}
-		if m.ckptEvery > 0 && round%m.ckptEvery == 0 {
-			if err := m.takeCheckpoint(); err != nil {
-				return err
-			}
-		}
-		if err := m.fp.CheckCtx(m.ctx, fault.SiteEngineRound); err != nil {
+	}
+	return m.fp.CheckCtx(m.ctx, fault.SiteEngineRound)
+}
+
+// markDirty records that v's value changed in the executing stage.
+func (m *Multi) markDirty(v graph.VertexID) {
+	m.colsFresh = false
+	if !m.dirtyMark[v] {
+		m.dirtyMark[v] = true
+		m.dirty = append(m.dirty, v)
+	}
+}
+
+// endRounds closes a stage's round loop at quiescence.
+func (m *Multi) endRounds() {
+	for _, v := range m.dirty {
+		m.dirtyMark[v] = false
+	}
+	m.inRounds = false
+}
+
+// runRounds drains the current queue to quiescence for the given computing
+// contexts, recording vertices whose values changed in m.dirty. Each round
+// boundary checks the run's context and the divergence watchdog. This is
+// the instrumented loop: every probe callback, in compute order.
+func (m *Multi) runRounds(compute []int, startRound int) error {
+	nc := m.numCtx
+	m.inRounds = true
+	for round := startRound; m.cur.count > 0; round++ {
+		if err := m.roundBoundary(round); err != nil {
 			return err
 		}
 		m.probe.RoundStart(round)
-		for _, v := range m.cur.touched {
+		for r, v := range m.cur.touched {
+			row := m.vals[int(v)*nc : (int(v)+1)*nc]
 			m.updating = m.updating[:0]
 			m.updBatch = m.updBatch[:0]
 			for _, c := range compute {
-				cand, tag, ok := m.cur.take(c, v)
+				cand, tag, ok := m.cur.take(c, r)
 				if !ok {
 					continue
 				}
-				applied := m.a.Better(cand, m.vals[c][v])
+				applied := m.a.Better(cand, row[c])
 				m.events++
 				m.qTaken++
 				m.probe.Event(v, c, applied)
 				if applied {
-					m.vals[c][v] = cand
+					row[c] = cand
 					m.updating = append(m.updating, c)
 					m.updBatch = append(m.updBatch, tag)
-					if !m.dirtyMark[v] {
-						m.dirtyMark[v] = true
-						m.dirty = append(m.dirty, v)
-					}
+					m.markDirty(v)
 				}
 			}
 			if len(m.updating) == 0 {
@@ -908,14 +1113,14 @@ func (m *Multi) runRounds(compute []int, startRound int) error {
 				}
 			}
 			for i, d := range dsts {
-				edgeIdx := lo + uint32(i)
-				b := m.batchOf[edgeIdx]
+				b := m.batchOf[lo+uint32(i)]
+				to := m.vals[int(d)*nc : (int(d)+1)*nc]
 				for ui, c := range m.updating {
-					if b >= 0 && !m.applied[c].has(int(b)) {
+					if b >= 0 && !m.hasApplied(c, int(b)) {
 						continue
 					}
-					cand := m.a.EdgeFunc(m.vals[c][v], ws[i])
-					if m.a.Better(cand, m.vals[c][d]) {
+					cand := m.a.EdgeFunc(row[c], ws[i])
+					if m.a.Better(cand, to[c]) {
 						if m.countPush(m.next.push(m.a, c, d, cand, m.updBatch[ui])) {
 							m.probe.Generated(d, c)
 						}
@@ -923,33 +1128,98 @@ func (m *Multi) runRounds(compute []int, startRound int) error {
 				}
 			}
 		}
-		m.cur.resetTouched()
+		m.cur.reset()
 		m.probe.RoundEnd(m.next.count)
 		m.cur, m.next = m.next, m.cur
-		round++
 		m.rounds++
 	}
-	for _, v := range m.dirty {
-		m.dirtyMark[v] = false
-	}
-	m.inRounds = false
+	m.endRounds()
 	return nil
 }
 
-// divergence builds the watchdog's diagnostic error from the engine's
-// current queue state.
-func (m *Multi) divergence(engine string, round int) error {
+// runRoundsServed is the round loop of a served query: the same rounds,
+// boundaries, events and queue traffic as runRounds with nothing observing
+// them. A vertex's pending events are the set bits of its mask row, taken
+// for the stage's computing contexts (any other is left for reset to drop,
+// as runRounds leaves it); the contexts that improve form a mask too, and an edge of batch b
+// relaxes for that mask ANDed with the contexts that have applied b. A
+// propagated event inherits the tag of the event it was taken with, which
+// the current queue's row still holds.
+func (m *Multi) runRoundsServed(startRound int) error {
+	o, nc, words := m.o, m.numCtx, m.words
+	vals, upd, computing := m.vals, m.upd, m.stageMask[:words]
+	m.inRounds = true
+	for round := startRound; m.cur.count > 0; round++ {
+		if err := m.roundBoundary(round); err != nil {
+			return err
+		}
+		cur, next := m.cur, m.next
+		taken := 0
+		for r, v := range cur.touched {
+			row := vals[int(v)*nc : (int(v)+1)*nc]
+			cand := cur.pending[r*nc : (r+1)*nc]
+			improved := false
+			for w := 0; w < words; w++ {
+				pend := cur.mask[r*words+w] & computing[w]
+				taken += bits.OnesCount64(pend)
+				upd[w] = 0
+				for ; pend != 0; pend &= pend - 1 {
+					c := w<<6 + bits.TrailingZeros64(pend)
+					if o.better(cand[c], row[c]) {
+						row[c] = cand[c]
+						upd[w] |= pend & -pend
+						improved = true
+					}
+				}
+			}
+			if !improved {
+				continue
+			}
+			m.markDirty(v)
+			tags := cur.tag[r*nc : (r+1)*nc]
+			lo, _ := m.u.Union().EdgeRange(v)
+			dsts, ws, _ := m.u.OutEdges(v)
+			for i, d := range dsts {
+				b := m.batchOf[lo+uint32(i)]
+				to := vals[int(d)*nc : (int(d)+1)*nc]
+				for w := 0; w < words; w++ {
+					live := upd[w]
+					if b >= 0 {
+						live &= m.batchCtx[int(b)*words+w]
+					}
+					for ; live != 0; live &= live - 1 {
+						c := w<<6 + bits.TrailingZeros64(live)
+						if x := o.edge(row[c], ws[i]); o.better(x, to[c]) {
+							m.countPush(next.pushBuiltin(o, c, d, x, tags[c]))
+						}
+					}
+				}
+			}
+		}
+		m.events += int64(taken)
+		m.qTaken += int64(taken)
+		cur.reset()
+		m.cur, m.next = next, cur
+		m.rounds++
+	}
+	m.endRounds()
+	return nil
+}
+
+// divergence builds the watchdog's diagnostic error from a loop's current
+// queue state.
+func divergence(lim Limits, round int, events int64, cur *ctxQueue) error {
 	tripped := "MaxRounds"
-	if m.limits.eventsExceeded(m.events) {
+	if lim.eventsExceeded(events) {
 		tripped = "MaxEvents"
 	}
 	sample := int64(-1)
-	if len(m.cur.touched) > 0 {
-		sample = int64(m.cur.touched[0])
+	if len(cur.touched) > 0 {
+		sample = int64(cur.touched[0])
 	}
 	return &megaerr.DivergenceError{
-		Engine: engine, Limit: tripped, Rounds: round,
-		Events: m.events, LiveEvents: int64(m.cur.count), SampleVertex: sample,
+		Engine: "engine", Limit: tripped, Rounds: round,
+		Events: events, LiveEvents: int64(cur.count), SampleVertex: sample,
 	}
 }
 
@@ -973,26 +1243,25 @@ func Solve(g *graph.CSR, a algo.Algorithm, src graph.VertexID, probe Probe) []fl
 // boundary and lim bounds the fixpoint (zero fields take DefaultLimits
 // for the graph).
 func SolveContext(ctx context.Context, g *graph.CSR, a algo.Algorithm, src graph.VertexID, probe Probe, lim Limits) ([]float64, error) {
-	if _, nop := probe.(NopProbe); nop {
-		// Probe-free fast path: the instrumented loop below pays four
-		// dynamic probe calls per event, which is measurable when the base
-		// solve runs once per engine run with nothing listening.
-		return solveNoProbe(ctx, g, a, src, lim)
-	}
-	lim = lim.withDefaults(g.NumVertices(), 1)
-	vals := make([]float64, g.NumVertices())
+	n := g.NumVertices()
+	lim = lim.withDefaults(n, 1)
+	vals := make([]float64, n)
+	ident := a.Identity()
 	for i := range vals {
-		vals[i] = a.Identity()
+		vals[i] = ident
 	}
-	if g.NumVertices() == 0 {
+	if n == 0 {
 		return vals, nil
 	}
+	o, served := servedOps(a, probe) // the choice of loop Multi makes
+
 	fp := fault.From(ctx)
 	probe.OpStart("solve", 0, 1)
-	cur := newRoundQueue(1, g.NumVertices())
-	next := newRoundQueue(1, g.NumVertices())
+	// One context makes a row 24 bytes, and a static solve's frontier grows
+	// to a large share of the graph: size the queues for it once.
+	cur, next := newCtxQueue(1, n, n), newCtxQueue(1, n, n)
 	if ss, ok := a.(algo.SelfSeeding); ok {
-		for v := 0; v < g.NumVertices(); v++ {
+		for v := 0; v < n; v++ {
 			cur.push(a, 0, graph.VertexID(v), ss.VertexInit(uint32(v)), -1)
 			probe.Generated(graph.VertexID(v), 0)
 		}
@@ -1000,151 +1269,72 @@ func SolveContext(ctx context.Context, g *graph.CSR, a algo.Algorithm, src graph
 		cur.push(a, 0, src, a.SourceValue(), -1)
 		probe.Generated(src, 0)
 	}
-	round := 0
 	events := int64(0)
-	for cur.count > 0 {
-		if err := checkCtx(ctx, "solve round"); err != nil {
+	for round := 0; cur.count > 0; round++ {
+		err := checkCtx(ctx, "solve round")
+		if err == nil && (lim.roundsExceeded(round) || lim.eventsExceeded(events)) {
+			err = divergence(lim, round, events, cur)
+		}
+		if err == nil {
+			err = fp.CheckCtx(ctx, fault.SiteSolveRound)
+		}
+		if err != nil {
 			probe.OpEnd()
 			return nil, err
 		}
-		if lim.roundsExceeded(round) || lim.eventsExceeded(events) {
-			probe.OpEnd()
-			tripped := "MaxRounds"
-			if lim.eventsExceeded(events) {
-				tripped = "MaxEvents"
-			}
-			sample := int64(-1)
-			if len(cur.touched) > 0 {
-				sample = int64(cur.touched[0])
-			}
-			return nil, &megaerr.DivergenceError{
-				Engine: "engine", Limit: tripped, Rounds: round,
-				Events: events, LiveEvents: int64(cur.count), SampleVertex: sample,
-			}
+		events += int64(cur.count)
+		if served {
+			solveRoundServed(g, o, vals, cur, next)
+		} else {
+			solveRound(g, a, probe, round, vals, cur, next)
 		}
-		if err := fp.CheckCtx(ctx, fault.SiteSolveRound); err != nil {
-			probe.OpEnd()
-			return nil, err
-		}
-		probe.RoundStart(round)
-		for _, v := range cur.touched {
-			cand, _, ok := cur.take(0, v)
-			if !ok {
-				continue
-			}
-			applied := a.Better(cand, vals[v])
-			events++
-			probe.Event(v, 0, applied)
-			if !applied {
-				continue
-			}
-			vals[v] = cand
-			dsts, ws := g.OutEdges(v)
-			probe.EdgeFetch(v, len(dsts), 1)
-			for i, d := range dsts {
-				c := a.EdgeFunc(cand, ws[i])
-				if a.Better(c, vals[d]) {
-					if next.push(a, 0, d, c, -1) {
-						probe.Generated(d, 0)
-					}
-				}
-			}
-		}
-		cur.resetTouched()
-		probe.RoundEnd(next.count)
 		cur, next = next, cur
-		round++
 	}
 	probe.OpEnd()
 	return vals, nil
 }
 
-// solveNoProbe is SolveContext specialized for NopProbe: the same fixpoint
-// loop with the probe calls removed and the queue state hoisted into
-// locals. Semantics (round structure, lifecycle checks, divergence
-// diagnostics) are identical to the instrumented loop.
-func solveNoProbe(ctx context.Context, g *graph.CSR, a algo.Algorithm, src graph.VertexID, lim Limits) ([]float64, error) {
-	lim = lim.withDefaults(g.NumVertices(), 1)
-	vals := make([]float64, g.NumVertices())
-	ident := a.Identity()
-	for i := range vals {
-		vals[i] = ident
-	}
-	if g.NumVertices() == 0 {
-		return vals, nil
-	}
-	fp := fault.From(ctx)
-	cur := newRoundQueue(1, g.NumVertices())
-	next := newRoundQueue(1, g.NumVertices())
-	if ss, ok := a.(algo.SelfSeeding); ok {
-		for v := 0; v < g.NumVertices(); v++ {
-			cur.push(a, 0, graph.VertexID(v), ss.VertexInit(uint32(v)), -1)
+// solveRound processes one round of the instrumented single-context loop.
+func solveRound(g *graph.CSR, a algo.Algorithm, probe Probe, round int, vals []float64, cur, next *ctxQueue) {
+	probe.RoundStart(round)
+	for r, v := range cur.touched {
+		cand, _, _ := cur.take(0, r)
+		applied := a.Better(cand, vals[v])
+		probe.Event(v, 0, applied)
+		if !applied {
+			continue
 		}
-	} else {
-		cur.push(a, 0, src, a.SourceValue(), -1)
-	}
-	round := 0
-	events := int64(0)
-	for cur.count > 0 {
-		if err := checkCtx(ctx, "solve round"); err != nil {
-			return nil, err
-		}
-		if lim.roundsExceeded(round) || lim.eventsExceeded(events) {
-			tripped := "MaxRounds"
-			if lim.eventsExceeded(events) {
-				tripped = "MaxEvents"
-			}
-			sample := int64(-1)
-			if len(cur.touched) > 0 {
-				sample = int64(cur.touched[0])
-			}
-			return nil, &megaerr.DivergenceError{
-				Engine: "engine", Limit: tripped, Rounds: round,
-				Events: events, LiveEvents: int64(cur.count), SampleVertex: sample,
-			}
-		}
-		if err := fp.CheckCtx(ctx, fault.SiteSolveRound); err != nil {
-			return nil, err
-		}
-		has, pending := cur.has[0], cur.pending[0]
-		nhas, npending, nmark := next.has[0], next.pending[0], next.mark
-		for _, v := range cur.touched {
-			if !has[v] {
-				continue
-			}
-			has[v] = false
-			cur.count--
-			cand := pending[v]
-			events++
-			if !a.Better(cand, vals[v]) {
-				continue
-			}
-			vals[v] = cand
-			dsts, ws := g.OutEdges(v)
-			for i, d := range dsts {
-				c := a.EdgeFunc(cand, ws[i])
-				if !a.Better(c, vals[d]) {
-					continue
-				}
-				// next.push with the queue arrays hoisted out of the loop.
-				if nhas[d] {
-					if a.Better(c, npending[d]) {
-						npending[d] = c
-					}
-					continue
-				}
-				nhas[d] = true
-				npending[d] = c
-				next.count++
-				if !nmark[d] {
-					nmark[d] = true
-					next.touched = append(next.touched, d)
+		vals[v] = cand
+		dsts, ws := g.OutEdges(v)
+		probe.EdgeFetch(v, len(dsts), 1)
+		for i, d := range dsts {
+			c := a.EdgeFunc(cand, ws[i])
+			if a.Better(c, vals[d]) {
+				if next.push(a, 0, d, c, -1) {
+					probe.Generated(d, 0)
 				}
 			}
 		}
-		cur.resetTouched()
-		cur, next = next, cur
-		round++
 	}
-	return vals, nil
+	cur.reset()
+	probe.RoundEnd(next.count)
+}
+
+// solveRoundServed is solveRound with nothing listening and a built-in
+// algorithm.
+func solveRoundServed(g *graph.CSR, o ops, vals []float64, cur, next *ctxQueue) {
+	for r, v := range cur.touched {
+		cand := cur.pending[r]
+		if !o.better(cand, vals[v]) {
+			continue
+		}
+		vals[v] = cand
+		dsts, ws := g.OutEdges(v)
+		for i, d := range dsts {
+			if c := o.edge(cand, ws[i]); o.better(c, vals[d]) {
+				next.pushBuiltin(o, 0, d, c, -1)
+			}
+		}
+	}
+	cur.reset()
 }

@@ -15,9 +15,9 @@
 // Two engines are provided:
 //
 //   - Multi: the MEGA-side engine. It runs over the unified evolving-graph
-//     CSR with up to 64 concurrent contexts (value-array instances) and
-//     executes sched.Schedules (Direct-Hop, Work-Sharing, BOE). Additions
-//     only — deletions never occur on this path.
+//     CSR with any number of concurrent contexts (value-array instances)
+//     and executes sched.Schedules (Direct-Hop, Work-Sharing, BOE).
+//     Additions only — deletions never occur on this path.
 //   - Stream: the JetStream baseline. Single graph instance, sequential
 //     hops, supporting both edge additions and KickStarter-style deletion
 //     processing (tag the dependence subtree, reset, recompute, propagate).

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,8 +10,10 @@ import (
 
 	"mega/internal/algo"
 	"mega/internal/evolve"
+	"mega/internal/fault"
 	"mega/internal/gen"
 	"mega/internal/graph"
+	"mega/internal/megaerr"
 	"mega/internal/sched"
 )
 
@@ -68,14 +72,78 @@ func runMulti(t *testing.T, w *evolve.Window, a algo.Algorithm, s *sched.Schedul
 	return out, m
 }
 
-// TestSeedFilterEquivalence proves the unprobed engine's generation filter
-// on seeds changes no result and no priced count: over generated windows,
-// all six algorithms (CC seeds every vertex itself), the three schedule
-// modes and single- and multi-source runs, a NopProbe run, a Stats-probed
-// run (whose seed loop is the hardware's, unfiltered) and the parallel
-// engine at 1 and 3 workers return Float64bits-identical snapshots; the
-// filter only ever removes events; and the probed count on the smoke
-// window is the one pinned from before the filter existed.
+// liveEngine is an engine that can be killed mid-run and asked for its
+// live checkpoint.
+type liveEngine interface {
+	resumable
+	Checkpoint() ([]byte, error)
+}
+
+// midRunCheckpoint kills a run of the engine mk builds with a transient
+// fault at the middle one of its round boundaries and returns the live
+// checkpoint taken there (nil when the run has no rounds to be killed in).
+func midRunCheckpoint(t *testing.T, label string, s *sched.Schedule, site fault.Site, mk func() liveEngine) []byte {
+	t.Helper()
+	counter := fault.NewPlan(1)
+	if err := mk().RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
+		t.Fatalf("%s: counting run: %v", label, err)
+	}
+	total := counter.Visits(site, fault.AnyShard)
+	if total == 0 {
+		return nil
+	}
+	plan := fault.NewPlan(1).Add(fault.Op{Site: site, Shard: fault.AnyShard, Kind: fault.KindTransient, Visit: (total + 1) / 2})
+	victim := mk()
+	if err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{}); !megaerr.IsTransient(err) {
+		t.Fatalf("%s: killed run returned %v, want a transient fault", label, err)
+	}
+	ckpt, err := victim.Checkpoint()
+	if err != nil {
+		t.Fatalf("%s: live checkpoint: %v", label, err)
+	}
+	return ckpt
+}
+
+// disguised hides a built-in algorithm behind another concrete type, the
+// way a caller's wrapper would: same kind, same ops, but not one of algo's
+// own types, so the engine must run it through the interface.
+type disguised struct{ algo.Algorithm }
+
+type disguisedSelfSeeding struct {
+	algo.Algorithm
+	algo.SelfSeeding
+}
+
+func disguise(a algo.Algorithm) algo.Algorithm {
+	if ss, ok := a.(algo.SelfSeeding); ok {
+		return disguisedSelfSeeding{a, ss}
+	}
+	return disguised{a}
+}
+
+// ssspKind makes any algorithm report a built-in's kind.
+type ssspKind struct{ algo.Algorithm }
+
+func (ssspKind) Kind() algo.Kind { return algo.SSSP }
+
+// TestSeedFilterEquivalence proves the engine's two loops agree: the served
+// loop (NopProbe and a built-in algorithm: ops by value, mask-bit iteration,
+// seeds filtered at generation) changes no result and no priced count
+// against the instrumented loop (interface ops, the hardware's seed loop).
+// Over generated windows, all six algorithms (CC seeds every vertex
+// itself), the three schedule modes and single- and multi-source runs — on
+// the 16-snapshot smoke window with five sources, so every mode's rows span
+// more than one mask word — a NopProbe run, a Stats-probed run, a NopProbe
+// run of the same algorithm behind a wrapper type and the parallel engine
+// at 1 and 3 workers return Float64bits-identical snapshots; the filter
+// only ever removes events, and the two instrumented runs process the same
+// ones; and the probed count on the smoke window is the one pinned from
+// before the filter existed. The loop is chosen by the algorithm's concrete
+// type, never its Kind(): a diverging or panicking algorithm that reports
+// SSSP still diverges and still panics. And the loops are interchangeable
+// mid-run: a live checkpoint of a served run killed at its middle round
+// resumes in the instrumented loop and in the parallel engine, and theirs
+// resume in the served loop, all to the same bits.
 func TestSeedFilterEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(1402))
 	type win struct {
@@ -95,10 +163,16 @@ func TestSeedFilterEquivalence(t *testing.T) {
 		w := wn.w
 		n := w.NumVertices()
 		srcs := []graph.VertexID{wn.src, graph.VertexID((int(wn.src) + 1) % n), graph.VertexID((int(wn.src) + 2) % n)}
+		if w == smoke {
+			srcs = append(srcs, graph.VertexID((int(wn.src)+3)%n), graph.VertexID((int(wn.src)+4)%n))
+		}
 		for _, mode := range []sched.Mode{sched.DirectHop, sched.WorkSharing, sched.BOE} {
 			s, err := sched.New(mode, w)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if w == smoke && s.NumContexts*len(srcs) <= 64 {
+				t.Fatalf("smoke %v: %d contexts x %d sources fit one mask word", mode, s.NumContexts, len(srcs))
 			}
 			for _, k := range kinds {
 				a := algo.New(k)
@@ -112,6 +186,51 @@ func TestSeedFilterEquivalence(t *testing.T) {
 				if _, _, taken := eng.QueueCounters(); taken > st.Events {
 					t.Fatalf("%s: unprobed run took %d events, probed run %d — the filter may only remove events",
 						label("events"), taken, st.Events)
+				}
+				wrapped, wrappedEng := runMulti(t, w, disguise(a), s, srcs[:1], nil)
+				sameBits(t, label("wrapped"), wrapped[0], plain[0])
+				if _, _, taken := wrappedEng.QueueCounters(); taken != st.Events {
+					t.Fatalf("%s: unprobed run of a wrapped algorithm took %d events, the probed run %d — both are the instrumented loop",
+						label("events"), taken, st.Events)
+				}
+				if !eng.served || wrappedEng.served {
+					t.Fatalf("%s: served loop chosen for built-in %v, for its wrapper %v; want true, false",
+						label("loop"), eng.served, wrappedEng.served)
+				}
+				engines := []struct {
+					name string
+					site fault.Site
+					mk   func() liveEngine
+				}{
+					{"served", fault.SiteEngineRound, func() liveEngine {
+						m, _ := NewMulti(w, a, srcs[0], nil)
+						return m
+					}},
+					{"instrumented", fault.SiteEngineRound, func() liveEngine {
+						m, _ := NewMulti(w, a, srcs[0], &Stats{})
+						return m
+					}},
+					{"parallel", fault.SiteParallelRound, func() liveEngine {
+						p, _ := NewParallel(w, a, srcs[0], 3)
+						p.EnableLiveCheckpoint()
+						return p
+					}},
+				}
+				for vi, victim := range engines {
+					ckpt := midRunCheckpoint(t, label(victim.name), s, victim.site, victim.mk)
+					for hi, heir := range engines {
+						if ckpt == nil || hi == vi || (hi != 0 && vi != 0) {
+							continue // every hand-off into and out of the served loop
+						}
+						eng := heir.mk()
+						if err := eng.Restore(ckpt); err != nil {
+							t.Fatalf("%s: Restore: %v", label(victim.name+" to "+heir.name), err)
+						}
+						if err := eng.RunContext(context.Background(), s, Limits{}); err != nil {
+							t.Fatalf("%s: resumed run: %v", label(victim.name+" to "+heir.name), err)
+						}
+						sameBits(t, label(victim.name+" to "+heir.name), collectSnapshots(eng, s, w.NumSnapshots()), plain[0])
+					}
 				}
 				if w == smoke && mode == sched.BOE && k == algo.SSSP && st.Events != smokeProbedEvents {
 					t.Fatalf("%s: Stats.Events = %d, want the pinned %d", label("probed"), st.Events, smokeProbedEvents)
@@ -140,6 +259,37 @@ func TestSeedFilterEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	liar := ssspKind{flipFlop{}}
+	if _, err := SolveContext(context.Background(), cycleWindow(t).CommonCSR(), liar, 0, NopProbe{}, Limits{}); !errors.Is(err, megaerr.ErrDivergence) {
+		t.Fatalf("SolveContext of a diverging algorithm reporting SSSP: err = %v, want ErrDivergence", err)
+	}
+	w := batchCycleWindow(t)
+	s, err := sched.New(sched.BOE, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMulti(w, liar, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(s); !errors.Is(err, megaerr.ErrDivergence) {
+		t.Fatalf("Multi run of a diverging algorithm reporting SSSP: err = %v, want ErrDivergence", err)
+	}
+
+	w = panickyWindow(t)
+	if s, err = sched.New(sched.BOE, w); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = NewMulti(w, panicky{algo.New(algo.SSSP)}, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if got := recover(); got != "panicky EdgeFunc tripped" {
+			t.Fatalf("Multi run of a panicking SSSP wrapper recovered %v, want its EdgeFunc's panic", got)
+		}
+	}()
+	_ = m.Run(s)
 }
 
 // TestWindowBatchOfConcurrent is what a just-started server does: many

@@ -162,7 +162,10 @@ func resultBytes(vals [][]float64, base []float64) int64 {
 }
 
 // copyVals deep-copies a snapshot set so cached arrays and caller-owned
-// arrays never alias.
+// arrays never alias. An entry's arrays are never written after insertion
+// (re-inserting a key replaces the entry), so the copies are taken outside
+// the cache-wide mutex: a reader copies from the reference it took under the
+// lock, a writer copies before taking it.
 func copyVals(vals [][]float64) [][]float64 {
 	out := make([][]float64, len(vals))
 	for i, snap := range vals {
@@ -177,19 +180,21 @@ func copyVals(vals [][]float64) [][]float64 {
 // hit/miss.
 func (c *Cache) Lookup(key Key, fp engine.Fingerprint) ([][]float64, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.lookups++
 	c.cLookups.Inc()
 	e, ok := c.entries[key]
 	if !ok || c.closed || !e.fp.Equal(fp) {
 		c.misses++
 		c.cMisses.Inc()
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.hits++
 	c.cHits.Inc()
 	c.lru.MoveToFront(e.elem)
-	return copyVals(e.vals), true
+	vals := e.vals
+	c.mu.Unlock()
+	return copyVals(vals), true
 }
 
 // Insert stores a deep copy of vals (and the run's converged base
@@ -200,13 +205,17 @@ func (c *Cache) Lookup(key Key, fp engine.Fingerprint) ([][]float64, bool) {
 // key refreshes the entry in place.
 func (c *Cache) Insert(key Key, fp engine.Fingerprint, tenant string, vals [][]float64, base []float64) bool {
 	size := resultBytes(vals, base)
+	budget := c.tenantBudget(tenant) // configuration, fixed at New
+	oversize := size > c.cfg.MaxBytes || (budget > 0 && size > budget)
+	if !oversize {
+		vals, base = copyVals(vals), append([]float64(nil), base...)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false
 	}
-	budget := c.tenantBudget(tenant)
-	if size > c.cfg.MaxBytes || (budget > 0 && size > budget) {
+	if oversize {
 		c.rejected++
 		return false
 	}
@@ -233,8 +242,8 @@ func (c *Cache) Insert(key Key, fp engine.Fingerprint, tenant string, vals [][]f
 		key:    key,
 		fp:     fp,
 		tenant: tenant,
-		vals:   copyVals(vals),
-		base:   append([]float64(nil), base...),
+		vals:   vals,
+		base:   base,
 		bytes:  size,
 	}
 	e.elem = c.lru.PushFront(e)
@@ -295,6 +304,11 @@ func (c *Cache) removeLocked(e *entry) {
 // equal batch list (the windows genuinely overlap, so the reuse is the
 // paper's stable-vertex case, not a coincidence of intersection).
 func (c *Cache) Seed(fp engine.Fingerprint, algoKind uint32, source uint32) []float64 {
+	return append([]float64(nil), c.seedDonor(fp, algoKind, source)...)
+}
+
+// seedDonor finds Seed's donor entry and returns its base, shared.
+func (c *Cache) seedDonor(fp engine.Fingerprint, algoKind uint32, source uint32) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -313,7 +327,7 @@ func (c *Cache) Seed(fp engine.Fingerprint, algoKind uint32, source uint32) []fl
 		}
 		c.seedHits++
 		c.cSeedHits.Inc()
-		return append([]float64(nil), e.base...)
+		return e.base
 	}
 	c.seedMisses++
 	return nil

@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"mega/internal/engine"
@@ -91,6 +92,65 @@ func TestLookupReturnsIsolatedCopy(t *testing.T) {
 	again, _ := c.Lookup(key, fp)
 	if again[0][0] != 7 {
 		t.Fatal("mutating a returned result corrupted the resident entry")
+	}
+}
+
+// TestConcurrentLookupInsertEvict hammers one key from every side at once:
+// writers re-insert it with a new fill each time, an evictor pushes it out
+// of a two-entry budget, readers look it up and seed from it. The copies
+// are taken outside the cache's mutex, so under -race this is the proof
+// that nothing writes an entry's arrays after insertion; a result mixing
+// two fills would be a torn copy; and the books must still balance.
+func TestConcurrentLookupInsertEvict(t *testing.T) {
+	const n = 512
+	c := newCache(t, Config{MaxBytes: 2 * 2 * 8 * n}) // two entries of values + base
+	key, fp := Key{Win: 1, Algo: 2, Source: 3}, fpN(1, 1, 1)
+	uniform := func(what string, vals []float64) {
+		for _, x := range vals {
+			if x != vals[0] {
+				t.Errorf("%s mixes fills %v and %v", what, vals[0], x)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(3)
+		go func(g int) { // writer
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				fill := valsOf(n, float64(g*1000+i))
+				c.Insert(key, fp, "", fill, fill[0])
+				fill[0][0] = -1 // the caller's arrays stay the caller's
+			}
+		}(g)
+		go func(g int) { // evictor
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				other := Key{Win: uint64(100 + g*1000 + i)}
+				c.Insert(other, fpN(uint64(other.Win), 9), "", valsOf(n, 0), make([]float64, n))
+			}
+		}(g)
+		go func() { // reader
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if vals, ok := c.Lookup(key, fp); ok {
+					uniform("Lookup", vals[0])
+					vals[0][0] = -2
+				}
+				if base := c.Seed(fp, key.Algo, key.Source); base != nil {
+					uniform("Seed", base)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Lookups != 4*200 || st.Hits+st.Misses != st.Lookups || st.Evictions == 0 {
+		t.Errorf("stats = %+v, want 800 lookups = hits + misses and some evictions", st)
+	}
+	if a := c.Close(); !a.OK {
+		t.Errorf("audit failed: %s", a.Detail)
 	}
 }
 
