@@ -408,15 +408,45 @@ func evaluateContextLoop(b *testing.B, win *evolve.Window, k mega.AlgorithmKind,
 	}
 }
 
+// wenTail is the Wen′ rows' second source: an ordinary vertex (out-degree
+// 34, near the end of R-MAT's id range) beside the hub. The hub is the
+// cheapest source a round-synchronous base solve can be given — it scanned
+// 1.74 M edges from there and 2.29 M from here, SSSP — and cold-wen draws
+// its sources from all over the graph.
+const wenTail mega.VertexID = 26_000
+
+// wenKeys runs fn once per algorithm of the key cycle the benchmark's
+// cold-wen workload serves and per source, so the ledger prices what that
+// workload runs.
+func wenKeys(b *testing.B, fn func(b *testing.B, win *evolve.Window, k mega.AlgorithmKind, src mega.VertexID)) {
+	win, hub := wenWorkload(b)
+	for _, k := range []mega.AlgorithmKind{mega.SSSP, mega.BFS, mega.SSWP, mega.Viterbi} {
+		for _, src := range []mega.VertexID{hub, wenTail} {
+			name := fmt.Sprintf("%v/v%d", k, src)
+			if src == hub {
+				name = k.String() + "/hub"
+			}
+			b.Run(name, func(b *testing.B) { fn(b, win, k, src) })
+		}
+	}
+}
+
 // BenchmarkLayerEvaluateContextWen is the bare-engine row at the paper
 // stand-in scale, where the per-event work dominates what is fixed per
-// query — one sub-benchmark per algorithm of the key cycle the benchmark's
-// cold-wen workload serves, so the ledger prices what that workload runs.
-func BenchmarkLayerEvaluateContextWen(b *testing.B) {
-	win, src := wenWorkload(b)
-	for _, k := range []mega.AlgorithmKind{mega.SSSP, mega.BFS, mega.SSWP, mega.Viterbi} {
-		b.Run(k.String(), func(b *testing.B) { evaluateContextLoop(b, win, k, src) })
-	}
+// query.
+func BenchmarkLayerEvaluateContextWen(b *testing.B) { wenKeys(b, evaluateContextLoop) }
+
+// BenchmarkLayerBaseSolveWen is the part of that row every cold query pays
+// in full before its first batch: the static solve of the CommonGraph.
+func BenchmarkLayerBaseSolveWen(b *testing.B) {
+	wenKeys(b, func(b *testing.B, win *evolve.Window, k mega.AlgorithmKind, src mega.VertexID) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := mega.SolveContext(context.Background(), win.CommonCSR(), k, src, nil, mega.Limits{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func layerEvaluateRecover(b *testing.B, opt mega.RecoverOptions) {
@@ -441,6 +471,28 @@ func BenchmarkLayerEvaluateRecoverSink(b *testing.B) {
 	layerEvaluateRecover(b, mega.RecoverOptions{Sink: discardSink})
 }
 
+// BenchmarkLayerEvaluateRecoverStore is the durable rung: every periodic
+// checkpoint of the smoke query written to a store in a temp dir (segment
+// write, read-back, rename) and the query's directory deleted at the end,
+// as megaserve -state-dir runs a query.
+func BenchmarkLayerEvaluateRecoverStore(b *testing.B) {
+	_, win, _, src := benchWorkload(b)
+	store, err := mega.OpenCheckpointStore(mega.CheckpointStoreConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := store.Close(); err != nil {
+			b.Error(err)
+		}
+	}()
+	id, err := mega.CheckpointIDFor(win, mega.SSSP, src, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	layerEvaluateRecover(b, mega.RecoverOptions{Store: store, StoreID: id})
+}
+
 func BenchmarkLayerSubmitMiss(b *testing.B) {
 	_, win, _, src := benchWorkload(b)
 	svc, err := mega.NewQueryService(mega.ServeOptions{})
@@ -453,6 +505,32 @@ func BenchmarkLayerSubmitMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Submit(context.Background(), mega.QueryRequest{Window: win, Algo: mega.SSSP, Source: src}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLayerSubmitHit is Submit answered from the result cache: the
+// lookup and the copy-out of the cached snapshots, no engine.
+func BenchmarkLayerSubmitHit(b *testing.B) {
+	_, win, _, src := benchWorkload(b)
+	svc, err := mega.NewQueryService(mega.ServeOptions{CacheBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	req := mega.QueryRequest{Window: win, Algo: mega.SSSP, Source: src}
+	if _, err := svc.Submit(context.Background(), req); err != nil { // the miss that fills the cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := svc.Submit(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.Cache != "hit" {
+			b.Fatalf("query %d was served as cache=%q, not a hit", i, res.Report.Cache)
 		}
 	}
 }
@@ -517,11 +595,15 @@ const (
 	smokeSinkCRC         = 0x47b02346
 )
 
-// B/op of one SSSP EvaluateContext from the hub on the commit before the
-// engine's state became vertex-major, on the smoke window and at Wen′.
+// B/op of one SSSP EvaluateContext from the hub, on the smoke window and at
+// Wen′, as measured when the base solve's two V-row round queues became an
+// 8 B/vertex heap (624,916–624,962 and 8,033,347–8,033,534 over GOMAXPROCS
+// 1, 2 and 4), rounded up past the few hundred bytes the runtime's own
+// allocations move it by. Before that: 723,262 and 9,311,342; before the
+// engine's state became vertex-major: 1,271,214 and 16,480,305.
 const (
-	smokeEngineBytes = 1_271_214
-	wenEngineBytes   = 16_480_305
+	smokeEngineBytes = 626_000
+	wenEngineBytes   = 8_040_000
 )
 
 // TestRecoverNoSinkIsPayAsYouGo is the deterministic proxy gate for the
@@ -578,11 +660,10 @@ func TestRecoverNoSinkIsPayAsYouGo(t *testing.T) {
 	if bare == 0 || float64(wrapped) > 1.25*float64(bare) {
 		t.Errorf("no-sink EvaluateRecover allocates %d B/op, over 1.25x EvaluateContext's %d", wrapped, bare)
 	}
-	// Ceilings on the bare engine itself, at both scales: what the
-	// context-major layout the engine had before its rows went vertex-major
-	// allocated per query. The transposed result and the queues' rows must
-	// together stay under it. (The ratio above survives -race; an absolute
-	// count does not.)
+	// Ceilings on the bare engine itself, at both scales: what it allocates
+	// per query today — the base solve's heap, the transposed result and the
+	// round queues' rows. (The ratio above survives -race; an absolute count
+	// does not.)
 	if !raceEnabled {
 		wen := testing.Benchmark(func(b *testing.B) {
 			win, src := wenWorkload(b)

@@ -52,6 +52,12 @@ go run ./cmd/megabench -inflation-gate "${INFLATION_MAX:-2.10}"
 # engine, agree bit for bit on generated windows, past 64 contexts, and
 # across a mid-run checkpoint handed from one to the other.
 go test -count=1 -run '^TestSeedFilterEquivalence$' ./internal/engine/
+# Settle-once gate: the served base solve is best-first, and what it buys
+# is a count, not a time — it expands each vertex that gets a value once
+# and scans each of its out-edges once (26,595 pops and 739,894 scans from
+# the Wen' hub, where the round-synchronous loop scanned 1.74 M), for all
+# six built-ins, to the bits of the Bellman-Ford reference.
+go test -count=1 -run '^TestServedSolveSettlesOnce$' ./internal/engine/
 # Pay-as-you-go recovery gate, deterministic like the one above (counts
 # and B/op, no wall-clock): a fault-free EvaluateRecover with no Sink or
 # Store encodes zero checkpoints and allocates within 1.25x of the bare

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"mega/internal/algo"
+	"mega/internal/graph"
+	"mega/internal/megaerr"
 	"mega/internal/sched"
 )
 
@@ -144,5 +148,31 @@ func TestBaseValuesCached(t *testing.T) {
 	b := m.BaseValues()
 	if &a[0] != &b[0] {
 		t.Error("BaseValues recomputed instead of cached")
+	}
+}
+
+// TestSolveContextRejectsSourceOutsideGraph: the static solver used to
+// index its queue with whatever source it was handed. Both of its loops,
+// and self-seeding algorithms that never read the source, refuse one
+// outside the graph, as NewMulti does; the empty graph has no source to
+// check and still solves to nothing.
+func TestSolveContextRejectsSourceOutsideGraph(t *testing.T) {
+	g := graph.MustCSR(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}})
+	for _, k := range allKinds {
+		for _, a := range []algo.Algorithm{algo.New(k), disguise(algo.New(k))} {
+			for _, probe := range []Probe{NopProbe{}, &Stats{}} {
+				for _, src := range []graph.VertexID{3, 7} {
+					if _, err := SolveContext(context.Background(), g, a, src, probe, Limits{}); !errors.Is(err, megaerr.ErrInvalidInput) {
+						t.Errorf("%v (%T, %T) from %d on 3 vertices: err = %v, want ErrInvalidInput", k, a, probe, src, err)
+					}
+				}
+				if _, err := SolveContext(context.Background(), g, a, 2, probe, Limits{}); err != nil {
+					t.Errorf("%v (%T, %T) from the last vertex: %v", k, a, probe, err)
+				}
+				if vals, err := SolveContext(context.Background(), graph.MustCSR(0, nil), a, 0, probe, Limits{}); err != nil || len(vals) != 0 {
+					t.Errorf("%v (%T, %T) on the empty graph: %v, %v; want no values and no error", k, a, probe, vals, err)
+				}
+			}
+		}
 	}
 }

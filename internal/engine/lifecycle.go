@@ -23,7 +23,11 @@ type Limits struct {
 	// batch application, or one static solve). Monotone selection
 	// algorithms settle within numVertices rounds (the Bellman-Ford
 	// argument: after k rounds every best path of ≤ k edges is final),
-	// so the default of 2·V + 64 cannot trip a legitimate run.
+	// so the default of 2·V + 64 cannot trip a legitimate run. The served
+	// static solve (SolveContext with no probe and a built-in algorithm)
+	// is best-first and has no rounds: it is held to what MaxRounds rounds
+	// could process, MaxRounds · V vertex expansions — V of them settle a
+	// converging solve, and the default MaxEvents is that same product.
 	MaxRounds int
 	// MaxEvents bounds the events processed across one engine Run. The
 	// default is the round-model ceiling MaxRounds · V · contexts —

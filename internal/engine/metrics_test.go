@@ -32,8 +32,10 @@ func counterValue(snap *metrics.Snapshot, name string, labels map[string]string)
 	return -1
 }
 
-// randomWindow builds a random RMAT evolution for property tests.
-func randomWindow(t testing.TB, r *rand.Rand) *evolve.Window {
+// randomEvolution draws a random RMAT evolution for property tests: integer
+// weights in [1, 16] (so path values tie), a power-law degree distribution
+// (so some vertices are unreachable from any source).
+func randomEvolution(t testing.TB, r *rand.Rand) *gen.Evolution {
 	t.Helper()
 	spec := gen.TestGraph
 	spec.Vertices = 256 + r.Intn(512)
@@ -48,7 +50,13 @@ func randomWindow(t testing.TB, r *rand.Rand) *evolve.Window {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := evolve.NewWindow(ev)
+	return ev
+}
+
+// randomWindow builds the window of a randomEvolution.
+func randomWindow(t testing.TB, r *rand.Rand) *evolve.Window {
+	t.Helper()
+	w, err := evolve.NewWindow(randomEvolution(t, r))
 	if err != nil {
 		t.Fatal(err)
 	}

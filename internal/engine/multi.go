@@ -1209,31 +1209,38 @@ func (m *Multi) runRoundsServed(startRound int) error {
 // divergence builds the watchdog's diagnostic error from a loop's current
 // queue state.
 func divergence(lim Limits, round int, events int64, cur *ctxQueue) error {
-	tripped := "MaxRounds"
-	if lim.eventsExceeded(events) {
-		tripped = "MaxEvents"
-	}
 	sample := int64(-1)
 	if len(cur.touched) > 0 {
 		sample = int64(cur.touched[0])
 	}
+	return divergenceError(lim, round, events, int64(cur.count), sample)
+}
+
+// divergenceError is the watchdog's diagnostic error: what tripped, how far
+// the loop got, how much is still pending and one vertex of it.
+func divergenceError(lim Limits, round int, events, live, sample int64) error {
+	tripped := "MaxRounds"
+	if lim.eventsExceeded(events) {
+		tripped = "MaxEvents"
+	}
 	return &megaerr.DivergenceError{
 		Engine: "engine", Limit: tripped, Rounds: round,
-		Events: events, LiveEvents: int64(cur.count), SampleVertex: sample,
+		Events: events, LiveEvents: live, SampleVertex: sample,
 	}
 }
 
 // Solve computes the query fixpoint on a static CSR graph with a
 // single-context event loop (used for the CommonGraph base solution and by
 // tests). probe must not be nil. It runs without a lifecycle — no
-// cancellation and no divergence watchdog; production callers should use
+// cancellation and no divergence watchdog — and has no error to return, so
+// it panics on a source outside the graph; production callers should use
 // SolveContext.
 func Solve(g *graph.CSR, a algo.Algorithm, src graph.VertexID, probe Probe) []float64 {
 	vals, err := SolveContext(context.Background(), g, a, src, probe,
 		Limits{MaxRounds: Unlimited, MaxEvents: Unlimited})
 	if err != nil {
-		// Unreachable: the background context never cancels and both
-		// watchdog bounds are disabled.
+		// Only an invalid source gets here: the background context never
+		// cancels and both watchdog bounds are disabled.
 		panic(fmt.Sprintf("engine: unlimited Solve failed: %v", err))
 	}
 	return vals
@@ -1241,7 +1248,12 @@ func Solve(g *graph.CSR, a algo.Algorithm, src graph.VertexID, probe Probe) []fl
 
 // SolveContext is Solve under a lifecycle: ctx is checked at every round
 // boundary and lim bounds the fixpoint (zero fields take DefaultLimits
-// for the graph).
+// for the graph). A source outside the graph is megaerr.ErrInvalidInput,
+// for self-seeding algorithms too; the empty graph has no vertex to name
+// and solves to an empty result. With nothing listening (NopProbe) and a
+// built-in algorithm the solve is best-first, not round by round
+// (solveServed): same values, each reachable vertex expanded once, and a
+// "round" of its lifecycle is solveCadence expansions.
 func SolveContext(ctx context.Context, g *graph.CSR, a algo.Algorithm, src graph.VertexID, probe Probe, lim Limits) ([]float64, error) {
 	n := g.NumVertices()
 	lim = lim.withDefaults(n, 1)
@@ -1253,7 +1265,15 @@ func SolveContext(ctx context.Context, g *graph.CSR, a algo.Algorithm, src graph
 	if n == 0 {
 		return vals, nil
 	}
-	o, served := servedOps(a, probe) // the choice of loop Multi makes
+	if int(src) >= n {
+		return nil, megaerr.Invalidf("engine: source vertex %d outside [0,%d)", src, n)
+	}
+	if o, served := servedOps(a, probe); served { // the choice of loop Multi makes
+		if _, _, err := solveServed(ctx, g, a, o, src, vals, lim); err != nil {
+			return nil, err
+		}
+		return vals, nil
+	}
 
 	fp := fault.From(ctx)
 	probe.OpStart("solve", 0, 1)
@@ -1283,11 +1303,7 @@ func SolveContext(ctx context.Context, g *graph.CSR, a algo.Algorithm, src graph
 			return nil, err
 		}
 		events += int64(cur.count)
-		if served {
-			solveRoundServed(g, o, vals, cur, next)
-		} else {
-			solveRound(g, a, probe, round, vals, cur, next)
-		}
+		solveRound(g, a, probe, round, vals, cur, next)
 		cur, next = next, cur
 	}
 	probe.OpEnd()
@@ -1318,23 +1334,4 @@ func solveRound(g *graph.CSR, a algo.Algorithm, probe Probe, round int, vals []f
 	}
 	cur.reset()
 	probe.RoundEnd(next.count)
-}
-
-// solveRoundServed is solveRound with nothing listening and a built-in
-// algorithm.
-func solveRoundServed(g *graph.CSR, o ops, vals []float64, cur, next *ctxQueue) {
-	for r, v := range cur.touched {
-		cand := cur.pending[r]
-		if !o.better(cand, vals[v]) {
-			continue
-		}
-		vals[v] = cand
-		dsts, ws := g.OutEdges(v)
-		for i, d := range dsts {
-			if c := o.edge(cand, ws[i]); o.better(c, vals[d]) {
-				next.pushBuiltin(o, 0, d, c, -1)
-			}
-		}
-	}
-	cur.reset()
 }

@@ -34,7 +34,12 @@ func smokeWindow(t testing.TB) (*evolve.Window, graph.VertexID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg := make([]int, spec.Vertices)
+	return w, hubOf(ev)
+}
+
+// hubOf returns G_0's highest out-degree vertex, the benchmarks' source.
+func hubOf(ev *gen.Evolution) graph.VertexID {
+	deg := make([]int, ev.NumVertices)
 	best := 0
 	for _, e := range ev.Initial {
 		deg[e.Src]++
@@ -42,7 +47,7 @@ func smokeWindow(t testing.TB) (*evolve.Window, graph.VertexID) {
 			best = int(e.Src)
 		}
 	}
-	return w, graph.VertexID(best)
+	return graph.VertexID(best)
 }
 
 // smokeProbedEvents is what a Stats probe counts for SSSP under BOE on the

@@ -40,7 +40,10 @@ type Site string
 const (
 	// SiteSolveRound fires at round boundaries of the static single-graph
 	// solver (engine.SolveContext) — including the CommonGraph base solve
-	// every window run starts with.
+	// every window run starts with. The best-first solve that serves a
+	// built-in algorithm with no probe has no rounds: there the site fires
+	// before the first vertex is expanded and after every 4,096 more, so a
+	// solve of fewer expansions visits it once.
 	SiteSolveRound Site = "solve.round"
 	// SiteEngineOp fires at schedule-stage boundaries of the sequential
 	// multi-context engine (engine.Multi).

@@ -275,7 +275,8 @@ func NewSchedule(mode ScheduleMode, w *Window) (*Schedule, error) {
 }
 
 // Solve computes the query fixpoint on a static graph with the
-// event-driven engine. probe may be nil.
+// event-driven engine. probe may be nil. It has no error to return, so a
+// source that is not a vertex of g panics; SolveContext reports it.
 func Solve(g *Graph, k AlgorithmKind, source VertexID, probe Probe) []float64 {
 	if probe == nil {
 		probe = engine.NopProbe{}
@@ -284,7 +285,8 @@ func Solve(g *Graph, k AlgorithmKind, source VertexID, probe Probe) []float64 {
 }
 
 // SolveContext is Solve under a lifecycle: ctx is checked every round, and
-// lim (zero value = safe defaults) bounds the fixpoint iteration.
+// lim (zero value = safe defaults) bounds the fixpoint iteration. A source
+// that is not a vertex of g is ErrInvalidInput, for every algorithm.
 func SolveContext(ctx context.Context, g *Graph, k AlgorithmKind, source VertexID, probe Probe, lim Limits) ([]float64, error) {
 	if probe == nil {
 		probe = engine.NopProbe{}

@@ -1,6 +1,8 @@
 package mega_test
 
 import (
+	"context"
+	"errors"
 	"os"
 	"testing"
 
@@ -67,6 +69,27 @@ func TestSolveStatic(t *testing.T) {
 	if vals[2] != 5 {
 		t.Errorf("dist(2) = %v, want 5", vals[2])
 	}
+}
+
+// TestSolveSourceOutsideGraph: SolveContext reports a source the graph
+// does not have as ErrInvalidInput (it used to panic indexing its queue);
+// Solve, which has no error to return, panics with that error's text.
+func TestSolveSourceOutsideGraph(t *testing.T) {
+	g, err := mega.NewGraph(3, []mega.Edge{{Src: 0, Dst: 1, Weight: 2}, {Src: 1, Dst: 2, Weight: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range append(mega.Algorithms(), mega.CC) {
+		if _, err := mega.SolveContext(context.Background(), g, k, 7, nil, mega.Limits{}); !errors.Is(err, mega.ErrInvalidInput) {
+			t.Errorf("%v: SolveContext from vertex 7 of 3: err = %v, want ErrInvalidInput", k, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Solve from vertex 7 of 3 returned")
+		}
+	}()
+	mega.Solve(g, mega.SSSP, 7, nil)
 }
 
 func TestSimulateEndToEnd(t *testing.T) {

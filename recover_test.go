@@ -96,6 +96,38 @@ func TestEvaluateRecoverTransient(t *testing.T) {
 	sameValues(t, clean, got)
 }
 
+// TestEvaluateRecoverSolveRoundTransient fails the CommonGraph base solve
+// at its first lifecycle check — before a vertex is expanded, for both
+// engines (the parallel one runs the same solve) — and checks the retry
+// solves it again and returns a fault-free run's bits.
+func TestEvaluateRecoverSolveRoundTransient(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	w := eightSnapshotWindow(t)
+	clean, err := mega.Evaluate(w, mega.SSSP, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instantBackoff(t)
+	for _, opt := range []mega.RecoverOptions{{}, {Parallel: true, Workers: 2}} {
+		op, err := mega.ParseFaultOp("solve.round:transient@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := mega.NewFaultPlan(1).Add(op)
+		got, rec, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), plan), w, mega.SSSP, 0, mega.BOE, opt)
+		if err != nil {
+			t.Fatalf("parallel=%v: EvaluateRecover = %v, want recovery", opt.Parallel, err)
+		}
+		if rec.Attempts != 2 || len(rec.Faults) != 1 || rec.FellBack {
+			t.Errorf("parallel=%v: recovery = %+v, want 2 attempts, the injected fault, no fallback", opt.Parallel, rec)
+		}
+		if got := plan.Visits("solve.round", -1); got != 2 {
+			t.Errorf("parallel=%v: solve.round visited %d times, want once per attempt", opt.Parallel, got)
+		}
+		identicalBits(t, "solve.round:transient@1", clean, got)
+	}
+}
+
 // TestEvaluateRecoverParallelPanicFallsBack injects a panic into a
 // parallel worker phase and checks the retry loop demotes to the
 // sequential engine and still matches a clean run. No sink is set, so no
