@@ -4,12 +4,17 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test vet fmt race fuzz audit chaos crash soak serve-soak bench-smoke bench-json ci
+.PHONY: all build bench-build test vet fmt race fuzz audit chaos crash soak serve-soak bench-smoke bench-engine ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness is its own module compiled against this one's
+# internal packages; `./...` does not reach it.
+bench-build:
+	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null .
 
 vet:
 	$(GO) vet ./...
@@ -43,7 +48,7 @@ audit:
 
 # Crash-equivalence chaos sweep: kill the run at every round boundary,
 # resume from the last checkpoint, and demand bit-identical results, for
-# both engines and all three schedule modes, under the race detector.
+# all three schedule modes, under the race detector.
 # Audits run strict inside the sweep (MEGA_CHAOS implies strict mode),
 # so every resumed run also re-proves the conservation laws.
 chaos:
@@ -64,7 +69,7 @@ crash:
 		. ./internal/ckptstore/
 
 # Query-service soak: hundreds of concurrent mixed-priority queries with
-# injected transients, worker panics, and latency spikes, under the race
+# injected transients, panics, and latency spikes, under the race
 # detector. MEGA_CHAOS scales the query count up and forces strict audits,
 # so the Close-time accounting conservation law — per tenant and in
 # aggregate — fails loudly. Includes the tenant-isolation soak: one
@@ -87,8 +92,13 @@ serve-soak:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Regenerate BENCH_parallel.json with freshly measured numbers.
-bench-json:
-	$(GO) run ./cmd/megabench -perf -v -perfout BENCH_parallel.json
+# Regenerate BENCH_engine.txt: the perf record of the engine that is
+# served, priced at each seam a query crosses. Plain `go test -bench`
+# output (benchstat reads it; the goos/goarch/cpu header plus the first
+# line is the host stamp), two procs so numbers compare across hosts.
+bench-engine:
+	{ echo "# $$($(GO) version) GOMAXPROCS=2 num_cpu=$$(getconf _NPROCESSORS_ONLN)"; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkLayer(NewMulti|EvaluateContext|EvaluateContextWen|BaseSolveWen|EvaluateRecover|SubmitMiss|SubmitHit)$$' \
+		-benchmem -count 5 -cpu 2 . ; } > BENCH_engine.txt
 
-ci: fmt vet build race bench-smoke audit chaos crash soak serve-soak fuzz
+ci: fmt vet build bench-build race bench-smoke audit chaos crash soak serve-soak fuzz

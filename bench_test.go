@@ -152,47 +152,6 @@ func BenchmarkFig04_05_FunctionalBOE(b *testing.B) {
 	}
 }
 
-// --- Software-BOE parallel engine: worker scaling (Figure 14 context) ---
-
-func benchmarkParallelWorkers(b *testing.B, workers int) {
-	_, win, _, src := benchWorkload(b)
-	parallelWorkersLoop(b, win, src, workers)
-}
-
-func parallelWorkersLoop(b *testing.B, win *evolve.Window, src mega.VertexID, workers int) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := sched.New(sched.BOE, win)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := engine.NewParallel(win, algo.New(algo.SSSP), src, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Run(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParallelWorkers1(b *testing.B) { benchmarkParallelWorkers(b, 1) }
-func BenchmarkParallelWorkers2(b *testing.B) { benchmarkParallelWorkers(b, 2) }
-func BenchmarkParallelWorkers4(b *testing.B) { benchmarkParallelWorkers(b, 4) }
-func BenchmarkParallelWorkers8(b *testing.B) { benchmarkParallelWorkers(b, 8) }
-
-// BenchmarkParallelWorkersWen is the same sweep at Wen′ scale, beside
-// BenchmarkLayerEvaluateContextWen's sequential row.
-func BenchmarkParallelWorkersWen(b *testing.B) {
-	win, src := wenWorkload(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			parallelWorkersLoop(b, win, src, workers)
-		})
-	}
-}
-
 // --- Figure 10: round-series capture ---
 
 func BenchmarkFig10_RoundSeries(b *testing.B) {

@@ -9,22 +9,6 @@
 // fig2 fig3 fig4 fig5 fig10 table4 fig14 fig15 fig16 fig17 fig18 fig19
 // fig20 fig21 table5.
 //
-// With -perf the paper experiments are skipped and the engine throughput
-// regression harness runs instead, writing BENCH_parallel.json (override
-// with -perfout, or "-" for stdout only). The harness also records the
-// worker-count × GOMAXPROCS scaling trajectory — each point runs the
-// parallel engine with N workers under GOMAXPROCS=N — alongside the
-// machine's real core count, so committed numbers stay honest about the
-// hardware that produced them. -perfprocs overrides the swept values
-// ("1,2,4"), and -perfprocs none skips the trajectory.
-//
-// With -inflation-gate RATIO the experiments are skipped and the
-// deterministic event-inflation gate runs instead: the parallel engine's
-// events/op is measured (no timing) at worker counts 1/2/4/8 under both
-// GOMAXPROCS=1 and GOMAXPROCS=2, divided by the sequential engine's
-// events/op, and the process exits 1 if any point exceeds RATIO. CI uses
-// this to keep the event-inflation gap closed.
-//
 // With -metrics FILE every freshly simulated configuration's instrument
 // families and invariant-audit outcomes accumulate into one registry,
 // written as a JSON snapshot after the selected experiments finish. The
@@ -34,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -45,50 +28,13 @@ import (
 	"mega/internal/metrics"
 )
 
-// logWriter avoids handing RunPerfBench a non-nil interface wrapping a nil
-// *os.File, which would make its `log != nil` check pass and then panic.
-func logWriter(f *os.File) io.Writer {
-	if f == nil {
-		return nil
-	}
-	return f
-}
-
-// parseProcs parses the -perfprocs list; "" selects the default sweep.
-func parseProcs(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var procs []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		var p int
-		if _, err := fmt.Sscanf(part, "%d", &p); err != nil || p < 1 {
-			return nil, fmt.Errorf("bad -perfprocs value %q", part)
-		}
-		procs = append(procs, p)
-	}
-	if len(procs) == 0 {
-		return nil, fmt.Errorf("empty -perfprocs list")
-	}
-	return procs, nil
-}
-
 func main() {
 	exp := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
 	quick := flag.Bool("quick", false, "use smaller graphs and fewer algorithms")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	format := flag.String("format", "text", "output format: text or csv")
-	perf := flag.Bool("perf", false, "run the engine throughput regression harness instead of experiments")
-	perfOut := flag.String("perfout", "BENCH_parallel.json", "perf harness JSON output path (- for stdout only)")
-	perfRounds := flag.Int("perfrounds", 3, "perf harness repetitions per configuration (best-of)")
-	perfProcs := flag.String("perfprocs", "", "perf trajectory GOMAXPROCS values, comma-separated (empty = powers of 2 up to NumCPU plus 2x oversubscription; none = skip)")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot of the simulated runs to this file")
-	inflationGate := flag.Float64("inflation-gate", 0, "fail (exit 1) if parallel/sequential events_per_op exceeds this ratio at any worker count (0 = off)")
 	flag.Parse()
 
 	if *format != "text" && *format != "csv" {
@@ -99,86 +45,6 @@ func main() {
 	if *list {
 		for _, e := range bench.Experiments {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	if *inflationGate > 0 {
-		var log *os.File
-		if *verbose {
-			log = os.Stderr
-		}
-		results, seq, err := bench.RunInflationGate(*quick, nil, logWriter(log))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "megabench: inflation-gate: %v\n", err)
-			os.Exit(1)
-		}
-		t := bench.Table{
-			ID:     "inflation",
-			Title:  fmt.Sprintf("Event inflation vs sequential (%d events/op), gate %.2fx", seq, *inflationGate),
-			Header: []string{"Workers", "GOMAXPROCS", "events/op", "inflation"},
-		}
-		worst := 0.0
-		for _, r := range results {
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", r.Workers),
-				fmt.Sprintf("%d", r.Procs),
-				fmt.Sprintf("%d", r.EventsPerOp),
-				fmt.Sprintf("%.3fx", r.Inflation),
-			})
-			if r.Inflation > worst {
-				worst = r.Inflation
-			}
-		}
-		t.Fprint(os.Stdout)
-		if worst > *inflationGate {
-			fmt.Fprintf(os.Stderr, "megabench: event inflation %.3fx exceeds gate %.2fx\n", worst, *inflationGate)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "megabench: inflation gate passed (worst %.3fx ≤ %.2fx)\n", worst, *inflationGate)
-		return
-	}
-
-	if *perf {
-		var log *os.File
-		if *verbose {
-			log = os.Stderr
-		}
-		rep, err := bench.RunPerfBench(*quick, nil, *perfRounds, logWriter(log))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "megabench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		if *perfProcs != "none" {
-			procs, err := parseProcs(*perfProcs)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "megabench: perf: %v\n", err)
-				os.Exit(2)
-			}
-			traj, err := bench.RunPerfTrajectory(*quick, procs, *perfRounds, logWriter(log))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "megabench: perf: %v\n", err)
-				os.Exit(1)
-			}
-			rep.Trajectory = traj
-		}
-		rep.Fprint(os.Stdout)
-		if *perfOut != "-" {
-			f, err := os.Create(*perfOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "megabench: perf: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "megabench: perf: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "megabench: perf: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "megabench: wrote %s\n", *perfOut)
 		}
 		return
 	}

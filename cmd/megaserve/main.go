@@ -20,7 +20,7 @@
 // admission-controlled query service over it, and serves:
 //
 //	POST /v1/query   run one query (JSON spec: algo, source, priority,
-//	                 deadline, queue_timeout, engine, workers, label)
+//	                 deadline, queue_timeout, label)
 //	GET  /healthz    process liveness (always ok while the process serves)
 //	GET  /readyz     admission readiness (flips false the moment a drain begins)
 //	GET  /metrics    JSON snapshot of the metrics registry
@@ -46,8 +46,8 @@
 // on 429/503/connection failures:
 //
 //	megaserve -server http://127.0.0.1:8080 [-algo SSSP] [-source 0]
-//	          [-priority high] [-deadline 2s] [-engine par] [-workers 4]
-//	          [-tenant NAME] [-retries 3] [-stats]
+//	          [-priority high] [-deadline 2s] [-tenant NAME] [-retries 3]
+//	          [-stats]
 //
 // -stats prints the aggregate accounting line followed by one
 // "tenant=" line per tenant the service has seen.
@@ -205,8 +205,6 @@ func main() {
 	priority := flag.String("priority", "", "client: low, normal, or high")
 	deadline := flag.Duration("deadline", 0, "client: per-query deadline (0 = server default)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "client: queue-wait bound (0 = server default)")
-	engine := flag.String("engine", "", "client: seq or par")
-	workers := flag.Int("workers", 0, "client: parallel workers (0 = server GOMAXPROCS)")
 	tenant := flag.String("tenant", "", "client: tenant to bill the query to (X-Mega-Tenant header)")
 	retries := flag.Int("retries", 0, "client: max retries on overload/draining (0 = default 3, negative = none)")
 	stats := flag.Bool("stats", false, "client: fetch /stats instead of querying")
@@ -221,8 +219,8 @@ func main() {
 	if *server != "" {
 		err = runClient(ctx, clientOptions{
 			server: *server, algo: *algoName, source: *source, priority: *priority,
-			deadline: *deadline, queueTimeout: *queueTimeout, engine: *engine,
-			workers: *workers, tenant: *tenant, retries: *retries, stats: *stats,
+			deadline: *deadline, queueTimeout: *queueTimeout,
+			tenant: *tenant, retries: *retries, stats: *stats,
 			faults: clientFaults,
 		})
 	} else {
@@ -418,8 +416,6 @@ type clientOptions struct {
 	priority     string
 	deadline     time.Duration
 	queueTimeout time.Duration
-	engine       string
-	workers      int
 	tenant       string
 	retries      int
 	stats        bool
@@ -472,8 +468,6 @@ func runClient(ctx context.Context, opt clientOptions) error {
 		Priority:     opt.priority,
 		Deadline:     httpfront.Duration(opt.deadline),
 		QueueTimeout: httpfront.Duration(opt.queueTimeout),
-		Engine:       opt.engine,
-		Workers:      opt.workers,
 		Tenant:       opt.tenant,
 		Faults:       opt.faults,
 	})

@@ -18,11 +18,11 @@
 // -checkpoint-every rounds (persisting atomically to -checkpoint) and
 // retries transient faults from the last checkpoint; with neither it
 // encodes no periodic checkpoint and a retry resumes from one taken at
-// the failure itself. It falls back from the parallel to the sequential
-// engine after a worker panic, and with -resume restarts from the
-// persisted checkpoint file. -fault injects deterministic faults using
-// the "site[#shard]:kind[=latency]@visit[xevery]" grammar, e.g.
-// -fault engine.round:transient@100 or -fault parallel.phase#2:panic@7.
+// the failure itself. A panic is contained and reported, not retried.
+// With -resume it restarts from the persisted checkpoint file. -fault
+// injects deterministic faults using the
+// "site[#shard]:kind[=latency]@visit[xevery]" grammar, e.g.
+// -fault engine.round:transient@100 or -fault engine.round:panic@7.
 //
 // -state-dir DIR (eval and serve modes) spools checkpoints into a
 // crash-safe durable store keyed by the query's content identity: kill
@@ -39,11 +39,11 @@
 //
 // Mode "serve" runs a batch of concurrent queries through the
 // admission-controlled query service (bounded concurrency, priority wait
-// queue, load shedding, panic breaker, graceful drain). -queries FILE
+// queue, load shedding, panic containment, graceful drain). -queries FILE
 // (or "-" for stdin) supplies one query per line as key=value fields:
 // algo, source, priority (low|normal|high), deadline, queue-timeout,
-// engine (seq|par), workers, label, and repeatable fault specs. -capacity
-// and -queue-depth bound the service; -drain bounds the shutdown drain.
+// label, tenant, and repeatable fault specs. -capacity and -queue-depth
+// bound the service; -drain bounds the shutdown drain.
 //
 // Exit codes: 0 success, 1 generic failure, 2 invalid input, 3 canceled
 // (signal or -timeout), 4 query divergence, 5 checkpoint corruption or
@@ -110,8 +110,6 @@ func main() {
 	edgeList := flag.String("edgelist", "", "build the window from a SNAP-style edge-list file")
 	profile := flag.Bool("profile", false, "print the per-operation timing profile")
 	timeout := flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none)")
-	engineFlag := flag.String("engine", "seq", "eval engine: seq or par")
-	workers := flag.Int("workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
 	ckptFile := flag.String("checkpoint", "", "eval: persist checkpoints to this file (atomic rename)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "eval: with -checkpoint or -state-dir, checkpoint every N rounds (0 = default 32)")
 	resume := flag.Bool("resume", false, "eval: resume from the -checkpoint file")
@@ -158,7 +156,6 @@ func main() {
 
 	showProfile = *profile
 	opts := evalOptions{
-		engine: *engineFlag, workers: *workers,
 		ckptFile: *ckptFile, ckptEvery: *ckptEvery,
 		resume: *resume, retries: *retries,
 		stateDir:    *stateDir,
@@ -235,8 +232,6 @@ func writeMetrics(path string, reg *mega.MetricsRegistry) error {
 
 // evalOptions carries the eval- and serve-mode flags through run.
 type evalOptions struct {
-	engine      string
-	workers     int
 	ckptFile    string
 	ckptEvery   int
 	resume      bool
@@ -420,16 +415,9 @@ func run(ctx context.Context, graphName, algoName, mode string, snapshots int, b
 // prints a recovery report alongside a functional summary.
 func runEval(ctx context.Context, w *mega.Window, kind mega.AlgorithmKind, src mega.VertexID, opts evalOptions, reg *mega.MetricsRegistry) (retErr error) {
 	ropt := mega.RecoverOptions{
-		Parallel:        opts.engine == "par",
-		Workers:         opts.workers,
 		CheckpointEvery: opts.ckptEvery,
 		MaxRetries:      opts.retries,
 		Metrics:         reg,
-	}
-	switch opts.engine {
-	case "seq", "par":
-	default:
-		return fmt.Errorf("%w: unknown engine %q (want seq or par)", mega.ErrInvalidInput, opts.engine)
 	}
 	if opts.ckptFile != "" {
 		ropt.Sink = func(b []byte) error { return writeFileAtomic(opts.ckptFile, b) }
@@ -473,14 +461,10 @@ func runEval(ctx context.Context, w *mega.Window, kind mega.AlgorithmKind, src m
 	}
 
 	values, rec, err := mega.EvaluateRecover(ctx, w, kind, src, mega.BOE, ropt)
-	engineName := map[bool]string{false: "sequential", true: "parallel"}[ropt.Parallel]
-	fmt.Printf("workflow:        eval (%s engine) / %s (source %d)\n", engineName, kind, src)
+	fmt.Printf("workflow:        eval / %s (source %d)\n", kind, src)
 	fmt.Printf("attempts:        %d (%d resumed from checkpoint)\n", rec.Attempts, rec.Resumes)
 	if rec.DurableResume {
 		fmt.Printf("resumed:         true (durable checkpoint from %s)\n", opts.stateDir)
-	}
-	if rec.FellBack {
-		fmt.Printf("fallback:        worker panic demoted the run to the sequential engine\n")
 	}
 	for _, f := range rec.Faults {
 		fmt.Printf("survived fault:  %s\n", f)

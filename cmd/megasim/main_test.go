@@ -57,7 +57,7 @@ func TestClassifyExitCodes(t *testing.T) {
 func TestParseQuerySpec(t *testing.T) {
 	defaults := querySpec{req: mega.QueryRequest{Algo: mega.SSSP, Source: 3}}
 	spec, err := parseQuerySpec(
-		"algo=SSWP source=7 priority=high deadline=2s queue-timeout=150ms engine=par workers=3 label=q7 tenant=team-a fault=engine.round:transient@5",
+		"algo=SSWP source=7 priority=high deadline=2s queue-timeout=150ms label=q7 tenant=team-a fault=engine.round:transient@5",
 		defaults, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestParseQuerySpec(t *testing.T) {
 	if r.Deadline != 2*time.Second || r.QueueTimeout != 150*time.Millisecond {
 		t.Errorf("timeouts = %v/%v, want 2s/150ms", r.Deadline, r.QueueTimeout)
 	}
-	if !r.Parallel || r.Workers != 3 || spec.label != "q7" {
-		t.Errorf("engine/label = %+v %q, want par/3/q7", r, spec.label)
+	if spec.label != "q7" {
+		t.Errorf("label = %q, want q7", spec.label)
 	}
 	if spec.plan == nil {
 		t.Error("fault= did not build a plan")
@@ -95,7 +95,8 @@ func TestParseQuerySpec(t *testing.T) {
 	// Malformed lines are invalid input.
 	for _, bad := range []string{
 		"nonsense",
-		"engine=gpu",
+		"engine=par", // the keys of the deleted goroutine engine are unknown fields
+		"workers=4",
 		"priority=urgent",
 		"deadline=fast",
 		"source=-2",

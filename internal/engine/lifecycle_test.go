@@ -11,7 +11,6 @@ import (
 	"mega/internal/graph"
 	"mega/internal/megaerr"
 	"mega/internal/sched"
-	"mega/internal/testutil"
 )
 
 // flipFlop is a deliberately non-monotone Algorithm: Better accepts any
@@ -93,32 +92,6 @@ func batchCycleWindow(t *testing.T) *evolve.Window {
 	return w
 }
 
-func TestParallelDivergenceWatchdog(t *testing.T) {
-	// The cycle must live in a batch: Parallel's base solve runs on the
-	// sequential engine, whose own watchdog would trip first on a common
-	// cycle.
-	w := batchCycleWindow(t)
-	s, err := sched.New(sched.BOE, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewParallel(w, flipFlop{}, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.RunContext(context.Background(), s, Limits{})
-	if !errors.Is(err, megaerr.ErrDivergence) {
-		t.Fatalf("RunContext err = %v, want ErrDivergence", err)
-	}
-	var div *megaerr.DivergenceError
-	if !errors.As(err, &div) {
-		t.Fatalf("err %v is not a *DivergenceError", err)
-	}
-	if div.Engine != "parallel" {
-		t.Errorf("Engine = %q, want parallel", div.Engine)
-	}
-}
-
 func TestMultiRunContextCanceled(t *testing.T) {
 	w := testMultiWindow(t, 3, 91)
 	s, err := sched.New(sched.BOE, w)
@@ -137,32 +110,9 @@ func TestMultiRunContextCanceled(t *testing.T) {
 	}
 }
 
-// TestParallelCancelNoGoroutineLeak cancels a parallel run up front and
-// checks that (a) the error is typed, (b) every worker goroutine joined —
-// the barrier protocol must drain cleanly, not strand senders.
-func TestParallelCancelNoGoroutineLeak(t *testing.T) {
-	w := testMultiWindow(t, 6, 92)
-	testutil.NoGoroutineLeak(t)
-	for i := 0; i < 5; i++ {
-		s, err := sched.New(sched.BOE, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewParallel(w, algo.New(algo.SSSP), 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if err := p.RunContext(ctx, s, Limits{}); !errors.Is(err, megaerr.ErrCanceled) {
-			t.Fatalf("RunContext err = %v, want ErrCanceled", err)
-		}
-	}
-}
-
 // panicky is SSSP with a booby-trapped EdgeFunc: any propagation from a
 // vertex whose value reached the trigger panics. The base graph keeps all
-// values small, so the panic fires only inside a batch-apply worker.
+// values small, so the panic fires only inside a batch application.
 type panicky struct{ algo.Algorithm }
 
 func (p panicky) EdgeFunc(srcVal, weight float64) float64 {
@@ -192,39 +142,9 @@ func panickyWindow(t *testing.T) *evolve.Window {
 	return w
 }
 
-func TestParallelWorkerPanicContained(t *testing.T) {
-	w := panickyWindow(t)
-	s, err := sched.New(sched.BOE, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewParallel(w, panicky{algo.New(algo.SSSP)}, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.RunContext(context.Background(), s, Limits{})
-	if err == nil {
-		t.Fatal("panicking EdgeFunc went unnoticed")
-	}
-	var wp *megaerr.WorkerPanicError
-	if !errors.As(err, &wp) {
-		t.Fatalf("err %v is not a *WorkerPanicError", err)
-	}
-	if wp.Value != "panicky EdgeFunc tripped" {
-		t.Errorf("panic value = %v, want the EdgeFunc message", wp.Value)
-	}
-	if len(wp.Stack) == 0 {
-		t.Error("panic stack not captured")
-	}
-}
-
 func TestValuesBeforeRunAreNil(t *testing.T) {
 	w := testMultiWindow(t, 3, 93)
 	m, err := NewMulti(w, algo.New(algo.BFS), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewParallel(w, algo.New(algo.BFS), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +157,6 @@ func TestValuesBeforeRunAreNil(t *testing.T) {
 	}
 	if v := m.SnapshotValues(s, 0); v != nil {
 		t.Errorf("Multi.SnapshotValues before Run = %v, want nil", v)
-	}
-	if v := p.Values(0); v != nil {
-		t.Errorf("Parallel.Values before Run = %v, want nil", v)
-	}
-	if v := p.SnapshotValues(s, 0); v != nil {
-		t.Errorf("Parallel.SnapshotValues before Run = %v, want nil", v)
 	}
 }
 

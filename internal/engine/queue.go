@@ -11,98 +11,8 @@ import (
 // context has applied.
 type batchSet []uint64
 
-func newBatchSet(n int) batchSet { return make(batchSet, (n+63)/64) }
-
 func (b batchSet) add(i int)      { b[i/64] |= 1 << uint(i%64) }
 func (b batchSet) has(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
-func (b batchSet) copyFrom(src batchSet) {
-	copy(b, src)
-}
-func (b batchSet) clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// senderSlot is one entry of a shard's sender-side coalescing table. A
-// slot is live only while its gen matches the table's; its chunk
-// reference (ck, pos) is valid only while fly matches the table's, i.e.
-// until the next exchange moves the shard's outbox chunks away.
-type senderSlot struct {
-	key uint64 // dst<<32 | ctx
-	val float64
-	ck  *pChunk // outbox chunk holding the best sent event, if still here
-	pos int32   // event index inside ck
-	gen uint32  // stage generation at insertion
-	fly uint32  // outbox generation when ck/pos were recorded
-}
-
-// senderTable is a per-shard open-addressed cache over cross-shard
-// destinations: for each (vertex, ctx) this shard has emitted to in the
-// current stage, the best value sent so far. It lets the emit path drop
-// candidates the owner is guaranteed to discard (the recorded value was
-// appended to a mailbox chunk, so the owner applies at least that value
-// within the stage and Better is a strict total order) and merge improved
-// candidates in place while the carrying chunk is still in this shard's
-// outbox. Entries are invalidated in O(1) by bumping gen at stage
-// boundaries; dropped or stale entries only cost filtering opportunities,
-// never correctness, so growth simply rehashes to an empty larger table.
-type senderTable struct {
-	slots []senderSlot
-	mask  uint32
-	n     int    // insertions in the current generation
-	gen   uint32 // current stage generation; mismatched slots are dead
-	fly   uint32 // current outbox generation; older chunk refs are stale
-}
-
-const senderTableMinSlots = 1024
-
-func newSenderTable() *senderTable {
-	return &senderTable{
-		slots: make([]senderSlot, senderTableMinSlots),
-		mask:  senderTableMinSlots - 1,
-		gen:   1,
-	}
-}
-
-// find returns the slot for key: either the live entry with that key, or
-// the dead/empty slot where it should be inserted. Probing stops at the
-// first slot whose generation is not current — within one generation
-// entries are never removed, so probe paths are stable and lookups that
-// stop at a dead slot are correct.
-func (t *senderTable) find(key uint64) *senderSlot {
-	i := uint32((key*0x9E3779B97F4A7C15)>>32) & t.mask
-	for {
-		s := &t.slots[i]
-		if s.gen != t.gen || s.key == key {
-			return s
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// maybeGrow keeps the live load factor under 3/4 so probing terminates.
-// Growth discards existing entries (a fresh, larger table): the cache is
-// advisory, so losing entries only forgoes some coalescing.
-func (t *senderTable) maybeGrow() {
-	if t.n*4 < len(t.slots)*3 {
-		return
-	}
-	t.slots = make([]senderSlot, len(t.slots)*2)
-	t.mask = uint32(len(t.slots) - 1)
-	t.n = 0
-}
-
-// nextStage invalidates every entry: values sent in earlier stages say
-// nothing about the new stage (OpInit/OpCopy reset values non-monotonically).
-func (t *senderTable) nextStage() {
-	t.gen++
-	t.n = 0
-}
-
-// nextFlight invalidates chunk references after an exchange moved this
-// shard's outbox chunks to their destination inboxes.
-func (t *senderTable) nextFlight() { t.fly++ }
 
 // ctxQueue is the coalescing event queue of the multi-context engine. For
 // each (vertex, context) it keeps at most one pending candidate — the best

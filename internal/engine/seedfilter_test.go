@@ -17,9 +17,9 @@ import (
 	"mega/internal/sched"
 )
 
-// smokeWindow is the 2k-vertex perf workload (bench.perfWorkload, the root
-// bench_test.go workload): RMAT 2,048 v / 40,960 e, 16 snapshots, 1%
-// batches, queried from the heaviest hub of G_0.
+// smokeWindow is the 2k-vertex perf workload (the root bench_test.go
+// workload): RMAT 2,048 v / 40,960 e, 16 snapshots, 1% batches, queried
+// from the heaviest hub of G_0.
 func smokeWindow(t testing.TB) (*evolve.Window, graph.VertexID) {
 	t.Helper()
 	spec := gen.GraphSpec{
@@ -51,12 +51,12 @@ func hubOf(ev *gen.Evolution) graph.VertexID {
 }
 
 // smokeProbedEvents is what a Stats probe counts for SSSP under BOE on the
-// smoke window: the hardware model's event count, which the inflation gate
-// divides by and EXPERIMENTS.md's numbers rest on. Measured on the commit
-// before seeds were generation-filtered; a probed run must never move it.
+// smoke window: the hardware model's event count, which EXPERIMENTS.md's
+// numbers rest on. Measured on the commit before seeds were
+// generation-filtered; a probed run must never move it.
 const smokeProbedEvents = 28_217
 
-// runMulti runs one sequential engine over srcs (one source: NewMulti) and
+// runMulti runs one engine over srcs (one source: NewMulti) and
 // returns the per-source snapshots and the engine.
 func runMulti(t *testing.T, w *evolve.Window, a algo.Algorithm, s *sched.Schedule, srcs []graph.VertexID, probe Probe) ([][][]float64, *Multi) {
 	t.Helper()
@@ -77,27 +77,20 @@ func runMulti(t *testing.T, w *evolve.Window, a algo.Algorithm, s *sched.Schedul
 	return out, m
 }
 
-// liveEngine is an engine that can be killed mid-run and asked for its
-// live checkpoint.
-type liveEngine interface {
-	resumable
-	Checkpoint() ([]byte, error)
-}
-
 // midRunCheckpoint kills a run of the engine mk builds with a transient
 // fault at the middle one of its round boundaries and returns the live
 // checkpoint taken there (nil when the run has no rounds to be killed in).
-func midRunCheckpoint(t *testing.T, label string, s *sched.Schedule, site fault.Site, mk func() liveEngine) []byte {
+func midRunCheckpoint(t *testing.T, label string, s *sched.Schedule, mk func() *Multi) []byte {
 	t.Helper()
 	counter := fault.NewPlan(1)
 	if err := mk().RunContext(fault.Inject(context.Background(), counter), s, Limits{}); err != nil {
 		t.Fatalf("%s: counting run: %v", label, err)
 	}
-	total := counter.Visits(site, fault.AnyShard)
+	total := counter.Visits(fault.SiteEngineRound, fault.AnyShard)
 	if total == 0 {
 		return nil
 	}
-	plan := fault.NewPlan(1).Add(fault.Op{Site: site, Shard: fault.AnyShard, Kind: fault.KindTransient, Visit: (total + 1) / 2})
+	plan := fault.NewPlan(1).Add(fault.Op{Site: fault.SiteEngineRound, Shard: fault.AnyShard, Kind: fault.KindTransient, Visit: (total + 1) / 2})
 	victim := mk()
 	if err := victim.RunContext(fault.Inject(context.Background(), plan), s, Limits{}); !megaerr.IsTransient(err) {
 		t.Fatalf("%s: killed run returned %v, want a transient fault", label, err)
@@ -138,17 +131,17 @@ func (ssspKind) Kind() algo.Kind { return algo.SSSP }
 // Over generated windows, all six algorithms (CC seeds every vertex
 // itself), the three schedule modes and single- and multi-source runs — on
 // the 16-snapshot smoke window with five sources, so every mode's rows span
-// more than one mask word — a NopProbe run, a Stats-probed run, a NopProbe
-// run of the same algorithm behind a wrapper type and the parallel engine
-// at 1 and 3 workers return Float64bits-identical snapshots; the filter
-// only ever removes events, and the two instrumented runs process the same
-// ones; and the probed count on the smoke window is the one pinned from
-// before the filter existed. The loop is chosen by the algorithm's concrete
-// type, never its Kind(): a diverging or panicking algorithm that reports
-// SSSP still diverges and still panics. And the loops are interchangeable
-// mid-run: a live checkpoint of a served run killed at its middle round
-// resumes in the instrumented loop and in the parallel engine, and theirs
-// resume in the served loop, all to the same bits.
+// more than one mask word — a NopProbe run, a Stats-probed run and a
+// NopProbe run of the same algorithm behind a wrapper type return
+// Float64bits-identical snapshots; the filter only ever removes events, and
+// the two instrumented runs process the same ones; and the probed count on
+// the smoke window is the one pinned from before the filter existed. The
+// loop is chosen by the algorithm's concrete type, never its Kind(): a
+// diverging or panicking algorithm that reports SSSP still diverges and
+// still panics. And the loops are interchangeable mid-run: a live
+// checkpoint of a served run killed at its middle round resumes in the
+// instrumented loop, and one of an instrumented run resumes in the served
+// loop, to the same bits.
 func TestSeedFilterEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(1402))
 	type win struct {
@@ -204,28 +197,22 @@ func TestSeedFilterEquivalence(t *testing.T) {
 				}
 				engines := []struct {
 					name string
-					site fault.Site
-					mk   func() liveEngine
+					mk   func() *Multi
 				}{
-					{"served", fault.SiteEngineRound, func() liveEngine {
+					{"served", func() *Multi {
 						m, _ := NewMulti(w, a, srcs[0], nil)
 						return m
 					}},
-					{"instrumented", fault.SiteEngineRound, func() liveEngine {
+					{"instrumented", func() *Multi {
 						m, _ := NewMulti(w, a, srcs[0], &Stats{})
 						return m
 					}},
-					{"parallel", fault.SiteParallelRound, func() liveEngine {
-						p, _ := NewParallel(w, a, srcs[0], 3)
-						p.EnableLiveCheckpoint()
-						return p
-					}},
 				}
 				for vi, victim := range engines {
-					ckpt := midRunCheckpoint(t, label(victim.name), s, victim.site, victim.mk)
+					ckpt := midRunCheckpoint(t, label(victim.name), s, victim.mk)
 					for hi, heir := range engines {
-						if ckpt == nil || hi == vi || (hi != 0 && vi != 0) {
-							continue // every hand-off into and out of the served loop
+						if ckpt == nil || hi == vi {
+							continue // the hand-off into and the one out of the served loop
 						}
 						eng := heir.mk()
 						if err := eng.Restore(ckpt); err != nil {
@@ -239,16 +226,6 @@ func TestSeedFilterEquivalence(t *testing.T) {
 				}
 				if w == smoke && mode == sched.BOE && k == algo.SSSP && st.Events != smokeProbedEvents {
 					t.Fatalf("%s: Stats.Events = %d, want the pinned %d", label("probed"), st.Events, smokeProbedEvents)
-				}
-				for _, workers := range []int{1, 3} {
-					p, err := NewParallel(w, a, srcs[0], workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := p.Run(s); err != nil {
-						t.Fatal(err)
-					}
-					sameBits(t, label("parallel"), collectSnapshots(p, s, w.NumSnapshots()), plain[0])
 				}
 
 				multi, _ := runMulti(t, w, a, s, srcs, nil)

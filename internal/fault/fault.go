@@ -1,17 +1,15 @@
 // Package fault implements deterministic, seeded fault injection for the
 // execution layers. A Plan is a set of injection Ops, each naming a Site
 // (a class of instrumented code locations: engine round boundaries,
-// schedule-op boundaries, parallel worker phases, simulator tick loops,
-// dataset I/O) and a visit count at which to fire. Execution layers call
+// schedule-op boundaries, simulator tick loops, dataset I/O, checkpoint
+// store writes) and a visit count at which to fire. Execution layers call
 // Check at their sites; the Plan counts visits per (site, shard) and
 // fires the matching injection: a typed transient error, a panic, a
 // cooperative cancellation, or a latency spike.
 //
-// Determinism is the point: every sequential site is visited in a fixed
-// order for a fixed input, and parallel sites are counted per shard (each
-// shard's phase sequence is fixed by the barrier protocol even though
-// shards interleave), so "kill the run at visit N of engine.round" means
-// the same machine state on every execution. That is what lets the
+// Determinism is the point: every site is visited in a fixed order for a
+// fixed input, so "kill the run at visit N of engine.round" means the same
+// machine state on every execution. That is what lets the
 // crash-equivalence suite assert bit-identical results after a resume.
 //
 // Plans are carried on the context (Inject/From) so the public Context
@@ -24,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,13 +50,6 @@ const (
 	// SiteEngineRound fires at round boundaries of engine.Multi's
 	// drain-to-quiescence loop.
 	SiteEngineRound Site = "engine.round"
-	// SiteParallelRound fires on the parallel engine's coordinator at
-	// every barrier-round boundary.
-	SiteParallelRound Site = "parallel.round"
-	// SiteParallelPhase fires inside parallel worker phase execution,
-	// counted per shard; target a shard with Op.Shard to make the firing
-	// deterministic under concurrency.
-	SiteParallelPhase Site = "parallel.phase"
 	// SiteSimHop fires at the aggregate simulator's snapshot/hop
 	// boundaries (recompute solves, JetStream hops).
 	SiteSimHop Site = "sim.hop"
@@ -89,7 +81,6 @@ const (
 func Sites() []Site {
 	return []Site{
 		SiteSolveRound, SiteEngineOp, SiteEngineRound,
-		SiteParallelRound, SiteParallelPhase,
 		SiteSimHop, SiteUarchCycle, SiteGenIO,
 		SiteStoreWrite, SiteStoreSync, SiteStoreRename, SiteStoreDirSync,
 	}
@@ -102,8 +93,8 @@ const (
 	// KindTransient returns a megaerr.ErrTransient-matching error from
 	// the site; the retry layer classifies it retryable.
 	KindTransient Kind = iota
-	// KindPanic panics at the site, exercising panic containment (the
-	// parallel engine's trap) and torn-state recovery from checkpoints.
+	// KindPanic panics at the site, exercising panic containment and
+	// torn-state recovery from checkpoints.
 	KindPanic
 	// KindCancel invokes the CancelFunc bound with BindCancel, so the
 	// run's own lifecycle checks observe an ordinary cancellation.
@@ -130,15 +121,15 @@ func (k Kind) String() string {
 }
 
 // AnyShard makes an Op match the site regardless of which shard visits it
-// (and is the shard every sequential site reports).
+// (and is the shard every instrumented site reports).
 const AnyShard = -1
 
 // Op is one planned injection.
 type Op struct {
 	// Site is the injection point class.
 	Site Site
-	// Shard restricts the op to one shard's visits of the site
-	// (parallel.phase); AnyShard matches all. Visit counts are kept per
+	// Shard restricts the op to one shard's visits of the site; AnyShard
+	// matches all. Visit counts are kept per
 	// (site, shard), so a shard-targeted op is deterministic even though
 	// shards interleave.
 	Shard int
@@ -370,8 +361,8 @@ func From(ctx context.Context) *Plan {
 //
 //	site[#shard]:kind[=latency]@visit[xevery]
 //
-// Examples: "engine.round:transient@120", "parallel.phase#2:panic@3",
-// "gen.io:latency=5ms@1x2", "uarch.cycle:cancel@10".
+// Examples: "engine.round:transient@120", "gen.io:latency=5ms@1x2",
+// "uarch.cycle:cancel@10". The site must be one of Sites().
 func ParseOp(spec string) (Op, error) {
 	op := Op{Shard: AnyShard}
 	head, tail, ok := strings.Cut(spec, ":")
@@ -387,8 +378,8 @@ func ParseOp(spec string) (Op, error) {
 	} else {
 		op.Site = Site(head)
 	}
-	if op.Site == "" {
-		return op, megaerr.Invalidf("fault: spec %q: empty site", spec)
+	if !slices.Contains(Sites(), op.Site) {
+		return op, megaerr.Invalidf("fault: spec %q: unknown site %q", spec, op.Site)
 	}
 	kindPart, visitPart, ok := strings.Cut(tail, "@")
 	if !ok {

@@ -11,12 +11,16 @@ import (
 	"mega/internal/megaerr"
 )
 
+// siteSharded is a private site for the per-shard visit counters: Check on
+// an unknown site is legal, and no instrumented site reports a shard.
+const siteSharded Site = "test.sharded"
+
 func TestNilPlanIsNoOp(t *testing.T) {
 	var p *Plan
 	if err := p.Check(SiteEngineRound); err != nil {
 		t.Fatalf("nil plan Check = %v", err)
 	}
-	if err := p.CheckShard(SiteParallelPhase, 3); err != nil {
+	if err := p.CheckShard(siteSharded, 3); err != nil {
 		t.Fatalf("nil plan CheckShard = %v", err)
 	}
 	if got := p.Visits(SiteEngineRound, AnyShard); got != 0 {
@@ -88,19 +92,19 @@ func TestPeriodicRefire(t *testing.T) {
 }
 
 func TestShardTargeting(t *testing.T) {
-	p := NewPlan(1).Add(Op{Site: SiteParallelPhase, Shard: 2, Kind: KindTransient, Visit: 2})
+	p := NewPlan(1).Add(Op{Site: siteSharded, Shard: 2, Kind: KindTransient, Visit: 2})
 	// Shard 1's visits never match; shard 2 fires on its own second visit,
 	// regardless of interleaving with other shards.
-	if err := p.CheckShard(SiteParallelPhase, 1); err != nil {
+	if err := p.CheckShard(siteSharded, 1); err != nil {
 		t.Fatalf("shard 1 visit 1: %v", err)
 	}
-	if err := p.CheckShard(SiteParallelPhase, 2); err != nil {
+	if err := p.CheckShard(siteSharded, 2); err != nil {
 		t.Fatalf("shard 2 visit 1: %v", err)
 	}
-	if err := p.CheckShard(SiteParallelPhase, 1); err != nil {
+	if err := p.CheckShard(siteSharded, 1); err != nil {
 		t.Fatalf("shard 1 visit 2: %v", err)
 	}
-	err := p.CheckShard(SiteParallelPhase, 2)
+	err := p.CheckShard(siteSharded, 2)
 	if err == nil || !megaerr.IsTransient(err) {
 		t.Fatalf("shard 2 visit 2: want transient, got %v", err)
 	}
@@ -191,7 +195,7 @@ func TestProbabilisticIsSeedDeterministic(t *testing.T) {
 }
 
 func TestCheckShardConcurrencySafe(t *testing.T) {
-	p := NewPlan(1).Add(Op{Site: SiteParallelPhase, Shard: 0, Kind: KindTransient, Visit: 50})
+	p := NewPlan(1).Add(Op{Site: siteSharded, Shard: 0, Kind: KindTransient, Visit: 50})
 	var wg sync.WaitGroup
 	errs := make([]int, 8)
 	for s := 0; s < 8; s++ {
@@ -199,7 +203,7 @@ func TestCheckShardConcurrencySafe(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if p.CheckShard(SiteParallelPhase, s) != nil {
+				if p.CheckShard(siteSharded, s) != nil {
 					errs[s]++
 				}
 			}
@@ -223,7 +227,7 @@ func TestParseOp(t *testing.T) {
 		want Op
 	}{
 		{"engine.round:transient@120", Op{Site: SiteEngineRound, Shard: AnyShard, Kind: KindTransient, Visit: 120}},
-		{"parallel.phase#2:panic@3", Op{Site: SiteParallelPhase, Shard: 2, Kind: KindPanic, Visit: 3}},
+		{"engine.round#2:panic@3", Op{Site: SiteEngineRound, Shard: 2, Kind: KindPanic, Visit: 3}},
 		{"gen.io:latency=5ms@1x2", Op{Site: SiteGenIO, Shard: AnyShard, Kind: KindLatency, Visit: 1, Every: 2, Latency: 5 * time.Millisecond}},
 		{"uarch.cycle:cancel@10", Op{Site: SiteUarchCycle, Shard: AnyShard, Kind: KindCancel, Visit: 10}},
 		{"gen.io:latency@1", Op{Site: SiteGenIO, Shard: AnyShard, Kind: KindLatency, Visit: 1, Latency: time.Millisecond}},
@@ -250,6 +254,8 @@ func TestParseOpRejects(t *testing.T) {
 		"engine.round",               // no kind
 		"engine.round:transient",     // no visit
 		":transient@1",               // empty site
+		"engine.rounds:transient@1",  // unknown site
+		"parallel.phase#1:panic@3",   // a site of the deleted goroutine engine
 		"engine.round:explode@1",     // unknown kind
 		"engine.round:transient@0",   // zero visit
 		"engine.round:transient@x",   // non-numeric visit
@@ -273,7 +279,7 @@ func TestSitesListed(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	for _, s := range []Site{SiteEngineRound, SiteParallelPhase, SiteGenIO, SiteUarchCycle} {
+	for _, s := range []Site{SiteEngineRound, SiteGenIO, SiteUarchCycle} {
 		if !seen[s] {
 			t.Fatalf("site %q missing from Sites()", s)
 		}

@@ -127,12 +127,6 @@ func (g *CSR) EdgeRange(v VertexID) (lo, hi uint32) {
 	return g.offsets[v], g.offsets[v+1]
 }
 
-// Offsets returns the out-edge offset array (len NumVertices+1):
-// Offsets()[v+1]-Offsets()[v] is v's out-degree, and the array is the
-// degree prefix sum consumed by NewBalancedPartitioning. The returned
-// slice aliases the graph's storage and must not be modified.
-func (g *CSR) Offsets() []uint32 { return g.offsets }
-
 // HasEdge reports whether the edge (src, dst) exists, using binary search.
 func (g *CSR) HasEdge(src, dst VertexID) bool {
 	dsts, _ := g.OutEdges(src)

@@ -1,24 +1,13 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Partitioning splits the vertex ID space into contiguous ranges. MEGA
-// partitions at vertex granularity so that each event-queue bin holds the
-// events of one partition's vertices (§3.2, Figure 9). Uniform
-// partitionings (NewPartitioning) split by vertex count; balanced ones
-// (NewBalancedPartitioning) split by out-degree prefix sums so each part
-// owns roughly equal edge work even on skewed degree distributions.
+// Partitioning splits the vertex ID space into contiguous, near-uniform
+// ranges. MEGA partitions at vertex granularity so that each event-queue
+// bin holds the events of one partition's vertices (§3.2, Figure 9).
 type Partitioning struct {
 	numVertices int
 	bounds      []VertexID // len parts+1; part p covers [bounds[p], bounds[p+1])
-
-	// owner maps vertex → part for balanced partitionings, keeping PartOf
-	// O(1) when ranges are not uniform. nil for uniform partitionings,
-	// whose PartOf computes the part arithmetically.
-	owner []int32
 }
 
 // NewPartitioning creates parts contiguous vertex ranges over numVertices
@@ -40,94 +29,11 @@ func NewPartitioning(numVertices, parts int) (*Partitioning, error) {
 	return p, nil
 }
 
-// NewBalancedPartitioning creates parts contiguous vertex ranges balanced
-// by edge work rather than vertex count. offsets is a CSR out-edge offset
-// array (len numVertices+1, offsets[v] = number of edges of vertices
-// [0, v)); the cost of vertex v is its out-degree plus one, so the
-// partitioning stays defined on edgeless graphs and a range of zero-degree
-// vertices still counts as (cheap) work. Each part's cost is within
-// max-vertex-cost of the ideal total/parts, which is the best any
-// contiguous split can guarantee on skewed degree distributions. A part
-// may be empty when a single vertex's degree exceeds the ideal share.
-func NewBalancedPartitioning(offsets []uint32, parts int) (*Partitioning, error) {
-	if len(offsets) == 0 {
-		return nil, fmt.Errorf("graph: balanced partitioning needs a non-empty offsets array")
-	}
-	numVertices := len(offsets) - 1
-	if parts < 1 {
-		return nil, fmt.Errorf("graph: partition count %d < 1", parts)
-	}
-	if numVertices > 0 && parts > numVertices {
-		return nil, fmt.Errorf("graph: %d partitions for %d vertices", parts, numVertices)
-	}
-	p := &Partitioning{
-		numVertices: numVertices,
-		bounds:      make([]VertexID, parts+1),
-		owner:       make([]int32, numVertices),
-	}
-	// cost(v) = offsets[v] + v is the total cost of vertices [0, v):
-	// one unit per vertex plus one per out-edge. It is strictly
-	// increasing, so bounds found by monotone targets are monotone.
-	total := uint64(offsets[numVertices]) + uint64(numVertices)
-	for i := 1; i < parts; i++ {
-		target := total * uint64(i) / uint64(parts)
-		v := sort.Search(numVertices, func(v int) bool {
-			return uint64(offsets[v])+uint64(v) >= target
-		})
-		if VertexID(v) < p.bounds[i-1] {
-			v = int(p.bounds[i-1])
-		}
-		p.bounds[i] = VertexID(v)
-	}
-	p.bounds[parts] = VertexID(numVertices)
-	for i := 0; i < parts; i++ {
-		for v := p.bounds[i]; v < p.bounds[i+1]; v++ {
-			p.owner[v] = int32(i)
-		}
-	}
-	return p, nil
-}
-
-// NewExplicitPartitioning creates a partitioning with caller-chosen range
-// boundaries: part p covers [bounds[p], bounds[p+1]). bounds must start
-// at 0, be non-decreasing, and its last element is the vertex count.
-// Unlike the uniform and balanced constructors this places no fairness
-// guarantee on the split — it exists for callers that need a specific
-// (possibly pathologically skewed) layout, e.g. load-imbalance tests.
-func NewExplicitPartitioning(bounds []VertexID) (*Partitioning, error) {
-	if len(bounds) < 2 {
-		return nil, fmt.Errorf("graph: explicit partitioning needs at least 2 bounds, got %d", len(bounds))
-	}
-	if bounds[0] != 0 {
-		return nil, fmt.Errorf("graph: explicit partitioning bounds must start at 0, got %d", bounds[0])
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			return nil, fmt.Errorf("graph: explicit partitioning bounds decrease at %d: %d < %d", i, bounds[i], bounds[i-1])
-		}
-	}
-	numVertices := int(bounds[len(bounds)-1])
-	p := &Partitioning{
-		numVertices: numVertices,
-		bounds:      append([]VertexID(nil), bounds...),
-		owner:       make([]int32, numVertices),
-	}
-	for i := 0; i < p.Parts(); i++ {
-		for v := p.bounds[i]; v < p.bounds[i+1]; v++ {
-			p.owner[v] = int32(i)
-		}
-	}
-	return p, nil
-}
-
 // Parts returns the number of partitions.
 func (p *Partitioning) Parts() int { return len(p.bounds) - 1 }
 
 // PartOf returns the partition that owns vertex v.
 func (p *Partitioning) PartOf(v VertexID) int {
-	if p.owner != nil {
-		return int(p.owner[v])
-	}
 	// Ranges are near-uniform, so direct computation followed by a local
 	// correction beats binary search.
 	parts := p.Parts()

@@ -44,105 +44,6 @@ func TestPartitioningSinglePart(t *testing.T) {
 	}
 }
 
-func TestBalancedPartitioningStar(t *testing.T) {
-	// Star head: vertex 0 carries 100 edges, vertices 1..9 none. The hub
-	// must get a part of its own (with empty parts absorbing the excess)
-	// and the zero-degree tail must be split across the rest.
-	offsets := make([]uint32, 11)
-	for v := 1; v <= 10; v++ {
-		offsets[v] = 100
-	}
-	p, err := NewBalancedPartitioning(offsets, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Parts() != 4 {
-		t.Fatalf("Parts = %d, want 4", p.Parts())
-	}
-	if p.PartOf(0) != 0 {
-		t.Errorf("PartOf(hub) = %d, want 0", p.PartOf(0))
-	}
-	if lo, hi := p.Range(0); lo != 0 || hi != 1 {
-		t.Errorf("Range(0) = [%d,%d), want [0,1): the hub alone", lo, hi)
-	}
-	total := 0
-	for i := 0; i < 4; i++ {
-		total += p.Size(i)
-	}
-	if total != 10 {
-		t.Fatalf("sizes sum to %d, want 10", total)
-	}
-}
-
-func TestBalancedPartitioningErrors(t *testing.T) {
-	if _, err := NewBalancedPartitioning(nil, 1); err == nil {
-		t.Error("empty offsets accepted")
-	}
-	if _, err := NewBalancedPartitioning([]uint32{0, 1, 2}, 0); err == nil {
-		t.Error("0 parts accepted")
-	}
-	if _, err := NewBalancedPartitioning([]uint32{0, 1}, 3); err == nil {
-		t.Error("more parts than vertices accepted")
-	}
-}
-
-// Property: balanced parts are contiguous, cover the vertex space, PartOf
-// agrees with Range, and every part's cost (out-edges + one per vertex) is
-// within one max-vertex-cost of the ideal share — the contiguous-split
-// optimum on skewed degree sequences.
-func TestBalancedPartitioningQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(400)
-		parts := 1 + r.Intn(n)
-		offsets := make([]uint32, n+1)
-		maxCost := uint64(1)
-		for v := 0; v < n; v++ {
-			deg := 0
-			switch r.Intn(4) {
-			case 0: // zero-degree run
-			case 1:
-				deg = r.Intn(4)
-			case 2:
-				deg = r.Intn(32)
-			case 3: // hub
-				deg = r.Intn(500)
-			}
-			offsets[v+1] = offsets[v] + uint32(deg)
-			if c := uint64(deg) + 1; c > maxCost {
-				maxCost = c
-			}
-		}
-		p, err := NewBalancedPartitioning(offsets, parts)
-		if err != nil {
-			return false
-		}
-		total := uint64(offsets[n]) + uint64(n)
-		ideal := total/uint64(parts) + 1
-		covered := 0
-		for i := 0; i < parts; i++ {
-			lo, hi := p.Range(i)
-			if hi < lo {
-				return false
-			}
-			covered += int(hi - lo)
-			cost := uint64(offsets[hi]) + uint64(hi) - uint64(offsets[lo]) - uint64(lo)
-			if cost > ideal+maxCost {
-				return false
-			}
-			for v := lo; v < hi; v++ {
-				if p.PartOf(v) != i {
-					return false
-				}
-			}
-		}
-		return covered == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: PartOf(v) is consistent with Range for all vertices, parts are
 // contiguous, non-overlapping, cover the vertex space, and sizes differ by
 // at most 1.

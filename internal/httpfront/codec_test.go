@@ -153,8 +153,8 @@ func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 	reports := []Report{
 		{},
 		{Engine: "cache", Cache: "hit", Attempts: 0, QueueWait: Duration(61 * time.Microsecond)},
-		{Engine: `par"allel<`, Seeded: true, Sources: 3, Demoted: true, Probe: true, Attempts: 2,
-			FellBack: true, Resumed: true, QueueWait: Duration(time.Second), RunTime: Duration(3 * time.Millisecond)},
+		{Engine: `mul"ti<`, Seeded: true, Sources: 3, Attempts: 2,
+			Resumed: true, QueueWait: Duration(time.Second), RunTime: Duration(3 * time.Millisecond)},
 	}
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 40; i++ { // plus random shapes
@@ -418,7 +418,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // remaining snapshots into a dead connection, and the failure is counted.
 func TestResponseWriteErrorStopsEncoding(t *testing.T) {
 	big := pkValues(1)
-	run := func(context.Context, *serve.Request, bool) ([][]float64, serve.RunReport, error) {
+	run := func(context.Context, *serve.Request) ([][]float64, serve.RunReport, error) {
 		return big, serve.RunReport{Attempts: 1}, nil
 	}
 	s, _ := newTestFront(t, run, nil, nil)

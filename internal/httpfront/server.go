@@ -414,18 +414,6 @@ func (s *Server) buildRequest(ctx context.Context, spec *QuerySpec) (serve.Reque
 	if err != nil {
 		return req, nil, err
 	}
-	var parallel bool
-	switch spec.Engine {
-	case "", "seq":
-		parallel = false
-	case "par":
-		parallel = true
-	default:
-		return req, nil, megaerr.Invalidf("httpfront: unknown engine %q (want seq or par)", spec.Engine)
-	}
-	if spec.Workers < 0 {
-		return req, nil, megaerr.Invalidf("httpfront: negative workers %d", spec.Workers)
-	}
 	if spec.Deadline < 0 || spec.QueueTimeout < 0 {
 		return req, nil, megaerr.Invalidf("httpfront: negative deadline (%s) or queue timeout (%s)",
 			time.Duration(spec.Deadline), time.Duration(spec.QueueTimeout))
@@ -460,8 +448,6 @@ func (s *Server) buildRequest(ctx context.Context, spec *QuerySpec) (serve.Reque
 		Priority:     prio,
 		Deadline:     time.Duration(spec.Deadline),
 		QueueTimeout: time.Duration(spec.QueueTimeout),
-		Parallel:     parallel,
-		Workers:      spec.Workers,
 		Label:        label,
 	}
 	return req, plan, nil

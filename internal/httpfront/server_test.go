@@ -38,7 +38,7 @@ func testWindow(t *testing.T) *evolve.Window {
 // labelRun dispatches on the request label so one stub service can
 // exercise every failure class: label "fail:<mode>" selects the failure,
 // anything else succeeds with fixed values (including a +Inf identity).
-func labelRun(ctx context.Context, req *serve.Request, parallel bool) ([][]float64, serve.RunReport, error) {
+func labelRun(ctx context.Context, req *serve.Request) ([][]float64, serve.RunReport, error) {
 	rep := serve.RunReport{Attempts: 1}
 	mode, ok := strings.CutPrefix(req.Label, "fail:")
 	if !ok {
@@ -209,8 +209,6 @@ func TestQueryValidationRejections(t *testing.T) {
 		"source too big":    {Algo: "BFS", Source: 99},
 		"source negative":   {Algo: "BFS", Source: -1},
 		"bad priority":      {Algo: "BFS", Priority: "urgent"},
-		"bad engine":        {Algo: "BFS", Engine: "gpu"},
-		"negative workers":  {Algo: "BFS", Engine: "par", Workers: -2},
 		"negative deadline": {Algo: "BFS", Deadline: Duration(-time.Second)},
 		"faults disabled":   {Algo: "BFS", Faults: []string{"engine.round:transient@1"}},
 	}
@@ -225,10 +223,13 @@ func TestQueryValidationRejections(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON and unknown fields are 400s too.
+	// Malformed JSON and unknown fields are 400s too — which is all the
+	// deleted goroutine engine's engine/workers keys are now.
 	for name, body := range map[string]string{
 		"not json":      "{{{",
 		"unknown field": `{"algo":"BFS","bogus":1}`,
+		"engine key":    `{"algo":"BFS","engine":"par"}`,
+		"workers key":   `{"algo":"BFS","workers":4}`,
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -238,6 +239,10 @@ func TestQueryValidationRejections(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, resp.StatusCode, raw)
+			continue
+		}
+		if we := wireErrOf(t, raw); we.Kind != kindInvalid {
+			t.Errorf("%s: kind = %q, want invalid", name, we.Kind)
 		}
 	}
 
@@ -311,7 +316,7 @@ func TestOverload429WithRetryAfter(t *testing.T) {
 	defer testutil.NoGoroutineLeak(t)
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	run := func(ctx context.Context, req *serve.Request, parallel bool) ([][]float64, serve.RunReport, error) {
+	run := func(ctx context.Context, req *serve.Request) ([][]float64, serve.RunReport, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -505,7 +510,7 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	defer testutil.NoGoroutineLeak(t)
 	var gotLabel atomic.Value
-	run := func(ctx context.Context, req *serve.Request, parallel bool) ([][]float64, serve.RunReport, error) {
+	run := func(ctx context.Context, req *serve.Request) ([][]float64, serve.RunReport, error) {
 		gotLabel.Store(req.Label)
 		return [][]float64{{0}}, serve.RunReport{Attempts: 1}, nil
 	}
@@ -541,7 +546,7 @@ func TestFaultInjectionGate(t *testing.T) {
 	defer testutil.NoGoroutineLeak(t)
 	// With injection enabled, a fault spec reaches the run's context and
 	// the injected transient error surfaces typed.
-	run := func(ctx context.Context, req *serve.Request, parallel bool) ([][]float64, serve.RunReport, error) {
+	run := func(ctx context.Context, req *serve.Request) ([][]float64, serve.RunReport, error) {
 		return [][]float64{{0}}, serve.RunReport{Attempts: 1}, nil
 	}
 	_, ts := newTestFront(t, run, nil, func(c *Config) { c.AllowFaultInjection = true })

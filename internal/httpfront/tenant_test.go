@@ -113,7 +113,7 @@ func TestTenantScoped429RoundTrip(t *testing.T) {
 	defer testutil.NoGoroutineLeak(t)
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	run := func(ctx context.Context, req *serve.Request, parallel bool) ([][]float64, serve.RunReport, error) {
+	run := func(ctx context.Context, req *serve.Request) ([][]float64, serve.RunReport, error) {
 		started <- struct{}{}
 		select {
 		case <-release:

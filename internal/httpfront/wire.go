@@ -109,10 +109,6 @@ type QuerySpec struct {
 	Deadline Duration `json:"deadline,omitempty"`
 	// QueueTimeout bounds only the wait for a run slot.
 	QueueTimeout Duration `json:"queue_timeout,omitempty"`
-	// Engine is "seq" (default) or "par".
-	Engine string `json:"engine,omitempty"`
-	// Workers is the parallel worker count (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 	// Label tags the request in reports; defaults to the request ID.
 	Label string `json:"label,omitempty"`
 	// Tenant names the principal the query is accounted against (empty =
@@ -139,11 +135,8 @@ type Report struct {
 	Seeded bool `json:"seeded,omitempty"`
 	// Sources is how many distinct sources the answering engine run
 	// served (absent for solo runs and cache hits).
-	Sources  int  `json:"sources,omitempty"`
-	Demoted  bool `json:"demoted,omitempty"`
-	Probe    bool `json:"probe,omitempty"`
-	Attempts int  `json:"attempts"`
-	FellBack bool `json:"fell_back,omitempty"`
+	Sources  int `json:"sources,omitempty"`
+	Attempts int `json:"attempts"`
 	// Resumed marks a query that picked up a durable checkpoint a
 	// previous process left behind instead of recomputing from scratch.
 	Resumed   bool     `json:"resumed,omitempty"`
@@ -157,10 +150,7 @@ func reportFromServe(r serve.Report) Report {
 		Cache:     r.Cache,
 		Seeded:    r.Seeded,
 		Sources:   r.Sources,
-		Demoted:   r.Demoted,
-		Probe:     r.Probe,
 		Attempts:  r.Attempts,
-		FellBack:  r.FellBack,
 		Resumed:   r.Resumed,
 		QueueWait: Duration(r.QueueWait),
 		RunTime:   Duration(r.RunTime),

@@ -126,14 +126,16 @@ func (e *DivergenceError) Error() string {
 // Unwrap lets errors.Is match ErrDivergence.
 func (e *DivergenceError) Unwrap() error { return ErrDivergence }
 
-// WorkerPanicError reports a panic recovered inside one of the parallel
-// engine's goroutines (or its seeding loop). The coordinator drains the
-// round barrier cleanly and returns this instead of crashing the process.
+// WorkerPanicError reports a panic recovered while a query was executing
+// (an injected fault, or a bug in a caller's Algorithm). The recovery loop
+// and the query service contain it and return this instead of crashing
+// the process; it is never retried.
 type WorkerPanicError struct {
-	// Shard is the panicking worker's shard index, or -1 when the panic
-	// occurred in the coordinator's seeding loop.
+	// Shard is the panicking worker's index. The engine runs on its
+	// caller's goroutine, which is reported as -1; other values only
+	// arrive decoded from the wire.
 	Shard int
-	// Round is the barrier round during which the panic occurred.
+	// Round is the round during which the panic occurred, when known.
 	Round int
 	// Value is the recovered panic value.
 	Value any

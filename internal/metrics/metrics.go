@@ -9,9 +9,9 @@
 //   - Counter: a monotonically increasing atomic int64 (events processed,
 //     cache hits, DRAM bytes per component).
 //   - Gauge: an atomic int64 that may move both ways (resident bytes,
-//     partitions, per-shard event balance).
+//     partitions, queued and running queries).
 //   - Histogram: fixed power-of-two buckets over int64 observations
-//     (per-op cycles, per-phase wall time) — no allocation per Observe.
+//     (per-op cycles, queue wait and run time) — no allocation per Observe.
 //
 // Instruments belong to labeled families: Counter("dram_bytes",
 // "component", "spill") and Counter("dram_bytes", "component", "swap")

@@ -23,11 +23,8 @@
 //     across per-tenant queues (priority preserved within a tenant), and
 //     per-tenant MaxRunning/MaxQueued caps bound what any one tenant can
 //     occupy regardless of offered load.
-//   - Graceful degradation. A breaker watches worker panics: after
-//     PanicThreshold consecutive panic outcomes on the parallel engine,
-//     new queries are demoted to the sequential engine; after
-//     DemotionPeriod one probe query re-tries the parallel engine and its
-//     outcome re-opens or closes the breaker.
+//   - Panic containment. A query whose evaluation panics fails alone,
+//     with a *megaerr.WorkerPanicError; the service keeps serving.
 //   - Graceful shutdown. Close stops admission, fails queued requests,
 //     drains in-flight queries up to the caller's deadline, then cancels
 //     stragglers and joins them — goroutine-leak-free.
@@ -128,11 +125,6 @@ type Request struct {
 	// QueueTimeout, when nonzero, bounds only the time spent waiting for
 	// a run slot.
 	QueueTimeout time.Duration
-	// Parallel asks for the goroutine-parallel engine; the breaker may
-	// demote the query to the sequential engine after repeated worker
-	// panics. Workers <= 0 selects GOMAXPROCS.
-	Parallel bool
-	Workers  int
 	// Label tags the request in reports; the service does not interpret it.
 	Label string
 	// SeedBase, when non-nil, initializes the evaluation's CommonGraph
@@ -147,9 +139,6 @@ type Request struct {
 type RunReport struct {
 	// Attempts counts engine runs inside the evaluation (retries included).
 	Attempts int
-	// FellBack is true when a contained worker panic demoted the
-	// evaluation from the parallel to the sequential engine mid-flight.
-	FellBack bool
 	// Resumed is true when the evaluation's first attempt restored a
 	// checkpoint from the durable store — the query picked up work a
 	// previous process (or a previous failed query) left behind.
@@ -160,17 +149,16 @@ type RunReport struct {
 	Base []float64
 }
 
-// RunFunc evaluates one query. parallel is the service's engine decision
-// (the request's wish filtered through the breaker). Implementations must
-// honor ctx and return typed megaerr errors; panics are contained by the
-// service and surface as *megaerr.WorkerPanicError.
-type RunFunc func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error)
+// RunFunc evaluates one query. Implementations must honor ctx and return
+// typed megaerr errors; panics are contained by the service and surface as
+// *megaerr.WorkerPanicError.
+type RunFunc func(ctx context.Context, req *Request) ([][]float64, RunReport, error)
 
 // Report describes how the service executed one admitted query.
 type Report struct {
-	// Engine is the engine that produced the result: "parallel",
-	// "sequential", "multi" (a batched multi-source run), or "cache" (no
-	// engine ran).
+	// Engine is what produced the result: "sequential" (a solo engine
+	// run), "multi" (a batched multi-source run), or "cache" (no engine
+	// ran).
 	Engine string
 	// Cache describes the sharing layer's involvement: "" (a normal solo
 	// run), "hit" (served from the result cache), "coalesced" (attached to
@@ -183,14 +171,9 @@ type Report struct {
 	// Sources is how many distinct sources the answering engine run
 	// served (0 for solo runs and cache hits, >= 1 for flights).
 	Sources int
-	// Demoted is true when the breaker overrode a Parallel request.
-	Demoted bool
-	// Probe is true when this query was the breaker's re-promotion probe.
-	Probe bool
-	// Attempts, FellBack, and Resumed come from the evaluation's
-	// RunReport; Resumed marks a durable-checkpoint resume.
+	// Attempts and Resumed come from the evaluation's RunReport; Resumed
+	// marks a durable-checkpoint resume.
 	Attempts int
-	FellBack bool
 	Resumed  bool
 	// QueueWait is the time spent waiting for a run slot.
 	QueueWait time.Duration
@@ -220,12 +203,6 @@ type Config struct {
 	// DefaultQueueTimeout applies to requests with QueueTimeout == 0
 	// (0 = none).
 	DefaultQueueTimeout time.Duration
-	// PanicThreshold is how many consecutive parallel-engine panic
-	// outcomes open the breaker (0 = 3).
-	PanicThreshold int
-	// DemotionPeriod is how long the breaker stays open before a probe
-	// query re-tries the parallel engine (0 = 5s).
-	DemotionPeriod time.Duration
 	// Tenants maps tenant names to their QoS contracts. Tenants absent
 	// from the table (and the "default" tenant itself, unless listed) get
 	// DefaultTenant. A nil map is a single-tenant service that behaves
@@ -260,13 +237,6 @@ const (
 	stateClosed
 )
 
-// Breaker states.
-const (
-	brkClosed = iota // parallel allowed
-	brkOpen          // demoted: new queries run sequentially
-	brkProbe         // one probe is re-trying the parallel engine
-)
-
 // Service is a concurrent query service. Construct with New; Submit is
 // safe for concurrent use; Close drains and shuts down.
 type Service struct {
@@ -274,7 +244,7 @@ type Service struct {
 	cfg    Config
 	reg    *metrics.Registry
 	strict bool
-	now    func() time.Time // injectable clock (breaker re-promotion tests)
+	now    func() time.Time // injectable clock (tests)
 
 	// qc is the cross-query result cache; nil when CacheBytes == 0, which
 	// disables the whole sharing layer (flights stays empty).
@@ -298,10 +268,6 @@ type Service struct {
 	active      map[*waiter]context.CancelFunc
 	drained     chan struct{}
 
-	brk         int
-	brkPanics   int
-	brkOpenedAt time.Time
-
 	// Accounting. Terminal states are counted by whichever goroutine
 	// removes the request from the service, always under mu, so the
 	// conservation law admitted == completed + failed + canceled + shed
@@ -309,13 +275,11 @@ type Service struct {
 	// tenant in each tenantState.
 	admitted, completed, failed, canceled uint64
 	rejected, shed, deadlineExceeded      uint64
-	demotions, probes                     uint64
 	cacheHits, coalesced, batched         uint64
 	seeded, engineRuns                    uint64
 
-	mQueued, mRunning, mDraining, mBreaker *metrics.Gauge
+	mQueued, mRunning, mDraining           *metrics.Gauge
 	cAdmitted, cRejected, cShed, cDeadline *metrics.Counter
-	cDemotions, cProbes                    *metrics.Counter
 	cCompleted, cFailed, cCanceled         *metrics.Counter
 	cCacheHits, cCoalesced, cBatched       *metrics.Counter
 	cSeeded, cEngineRuns                   *metrics.Counter
@@ -331,12 +295,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Capacity < 0 || cfg.QueueDepth < 0 {
 		return nil, megaerr.Invalidf("serve: negative Capacity (%d) or QueueDepth (%d)", cfg.Capacity, cfg.QueueDepth)
 	}
-	if cfg.PanicThreshold < 0 {
-		return nil, megaerr.Invalidf("serve: negative PanicThreshold (%d)", cfg.PanicThreshold)
-	}
-	if cfg.DemotionPeriod < 0 || cfg.DefaultDeadline < 0 || cfg.DefaultQueueTimeout < 0 {
-		return nil, megaerr.Invalidf("serve: negative duration (DemotionPeriod=%s DefaultDeadline=%s DefaultQueueTimeout=%s)",
-			cfg.DemotionPeriod, cfg.DefaultDeadline, cfg.DefaultQueueTimeout)
+	if cfg.DefaultDeadline < 0 || cfg.DefaultQueueTimeout < 0 {
+		return nil, megaerr.Invalidf("serve: negative duration (DefaultDeadline=%s DefaultQueueTimeout=%s)",
+			cfg.DefaultDeadline, cfg.DefaultQueueTimeout)
 	}
 	if cfg.CacheBytes < 0 {
 		return nil, megaerr.Invalidf("serve: negative CacheBytes (%d)", cfg.CacheBytes)
@@ -361,12 +322,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.PanicThreshold == 0 {
-		cfg.PanicThreshold = 3
-	}
-	if cfg.DemotionPeriod == 0 {
-		cfg.DemotionPeriod = 5 * time.Second
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.New() // private registry: instruments always resolvable
@@ -386,13 +341,10 @@ func New(cfg Config) (*Service, error) {
 		mQueued:     reg.Gauge("serve_queued"),
 		mRunning:    reg.Gauge("serve_running"),
 		mDraining:   reg.Gauge("serve_draining"),
-		mBreaker:    reg.Gauge("serve_breaker_open"),
 		cAdmitted:   reg.Counter("serve_admitted"),
 		cRejected:   reg.Counter("serve_rejected"),
 		cShed:       reg.Counter("serve_shed"),
 		cDeadline:   reg.Counter("serve_deadline_exceeded"),
-		cDemotions:  reg.Counter("serve_demotions"),
-		cProbes:     reg.Counter("serve_probes"),
 		cCompleted:  reg.Counter("serve_queries", "state", "completed"),
 		cFailed:     reg.Counter("serve_queries", "state", "failed"),
 		cCanceled:   reg.Counter("serve_queries", "state", "canceled"),
@@ -535,29 +487,20 @@ func (s *Service) submitSolo(ctx context.Context, req *Request, submitted time.T
 	queueWait := s.now().Sub(submitted)
 	s.hQueueWait.Observe(queueWait.Nanoseconds())
 
-	parallel, probe := s.engineFor(req)
 	start := s.now()
-	vals, rep, runErr := s.runContained(ctx, req, parallel)
+	vals, rep, runErr := s.runContained(ctx, req)
 	runTime := s.now().Sub(start)
 	s.hRunTime.Observe(runTime.Nanoseconds())
-	s.noteBreaker(parallel, probe, panicOutcome(rep, runErr))
 	s.noteEngineRun()
 	s.finish(w, runErr)
 	if runErr != nil {
 		return nil, runErr
 	}
-	engine := "sequential"
-	if parallel && !rep.FellBack {
-		engine = "parallel"
-	}
 	return &Result{
 		Values: vals,
 		Report: Report{
-			Engine:    engine,
-			Demoted:   req.Parallel && !parallel,
-			Probe:     probe,
+			Engine:    "sequential",
 			Attempts:  rep.Attempts,
-			FellBack:  rep.FellBack,
 			Resumed:   rep.Resumed,
 			QueueWait: queueWait,
 			RunTime:   runTime,
@@ -892,87 +835,13 @@ func (s *Service) accountTerminalLocked(t *tenantState, err error) {
 // runContained invokes the RunFunc, converting an escaping panic into a
 // *megaerr.WorkerPanicError so one poisoned query cannot take down the
 // service.
-func (s *Service) runContained(ctx context.Context, req *Request, parallel bool) (vals [][]float64, rep RunReport, err error) {
+func (s *Service) runContained(ctx context.Context, req *Request) (vals [][]float64, rep RunReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &megaerr.WorkerPanicError{Shard: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return s.run(ctx, req, parallel)
-}
-
-// engineFor applies the breaker to the request's engine wish. It returns
-// the engine decision and whether this query is the breaker's
-// re-promotion probe.
-func (s *Service) engineFor(req *Request) (parallel, probe bool) {
-	if !req.Parallel {
-		return false, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.brk {
-	case brkClosed:
-		return true, false
-	case brkOpen:
-		if s.now().Sub(s.brkOpenedAt) >= s.cfg.DemotionPeriod {
-			s.brk = brkProbe
-			s.probes++
-			s.cProbes.Inc()
-			return true, true
-		}
-		return false, false
-	default: // brkProbe: a probe is in flight; stay demoted until it reports
-		return false, false
-	}
-}
-
-// noteBreaker feeds one query's outcome back into the breaker.
-func (s *Service) noteBreaker(wasParallel, wasProbe, panicked bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if wasProbe {
-		if panicked {
-			s.openBreakerLocked()
-		} else {
-			s.brk = brkClosed
-			s.brkPanics = 0
-			s.mBreaker.Set(0)
-		}
-		return
-	}
-	if !wasParallel {
-		return
-	}
-	if panicked {
-		s.brkPanics++
-		if s.brk == brkClosed && s.brkPanics >= s.cfg.PanicThreshold {
-			s.openBreakerLocked()
-		}
-	} else if s.brk == brkClosed {
-		s.brkPanics = 0 // the threshold counts consecutive panics
-	}
-}
-
-// openBreakerLocked demotes new queries to the sequential engine. Caller
-// holds mu.
-func (s *Service) openBreakerLocked() {
-	s.brk = brkOpen
-	s.brkOpenedAt = s.now()
-	s.brkPanics = 0
-	s.demotions++
-	s.cDemotions.Inc()
-	s.mBreaker.Set(1)
-}
-
-// panicOutcome reports whether an evaluation's outcome counts as a worker
-// panic for the breaker: either the retry layer contained one and fell
-// back mid-flight, or the final error is a contained panic.
-func panicOutcome(rep RunReport, err error) bool {
-	if rep.FellBack {
-		return true
-	}
-	var wp *megaerr.WorkerPanicError
-	return errors.As(err, &wp)
+	return s.run(ctx, req)
 }
 
 // Close stops admission, fails every queued request, drains in-flight
@@ -1154,11 +1023,6 @@ type Stats struct {
 	Shed uint64
 	// DeadlineExceeded counts terminals caused by a deadline.
 	DeadlineExceeded uint64
-	// Demotions counts breaker openings; Probes counts re-promotion
-	// probes dispatched.
-	Demotions, Probes uint64
-	// BreakerOpen is true while new parallel requests are being demoted.
-	BreakerOpen bool
 	// CacheHits counts queries answered from the result cache with no
 	// engine involvement; CoalescedQueries attached to an identical
 	// in-flight run; BatchedQueries folded into a multi-source run;
@@ -1189,9 +1053,7 @@ func (s *Service) Stats() Stats {
 		RunP50:   time.Duration(s.hRunTime.Quantile(0.5)),
 		Admitted: s.admitted, Completed: s.completed, Failed: s.failed, Canceled: s.canceled,
 		Rejected: s.rejected, Shed: s.shed, DeadlineExceeded: s.deadlineExceeded,
-		Demotions: s.demotions, Probes: s.probes,
-		BreakerOpen: s.brk != brkClosed,
-		CacheHits:   s.cacheHits, CoalescedQueries: s.coalesced, BatchedQueries: s.batched,
+		CacheHits: s.cacheHits, CoalescedQueries: s.coalesced, BatchedQueries: s.batched,
 		SeededQueries: s.seeded, EngineRuns: s.engineRuns,
 		Tenants: s.tenantStatsLocked(),
 	}

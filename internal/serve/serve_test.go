@@ -14,7 +14,7 @@ import (
 )
 
 // okRun is a stub RunFunc that succeeds instantly with a fixed value.
-func okRun(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+func okRun(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 	return [][]float64{{1, 2, 3}}, RunReport{Attempts: 1}, nil
 }
 
@@ -23,7 +23,7 @@ func okRun(ctx context.Context, req *Request, parallel bool) ([][]float64, RunRe
 // plus an invocation counter.
 func blockingRun(started chan<- struct{}, release <-chan struct{}) (RunFunc, *atomic.Int64) {
 	var calls atomic.Int64
-	return func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	return func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		calls.Add(1)
 		if started != nil {
 			started <- struct{}{}
@@ -50,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// fakeClock is an injectable breaker clock.
+// fakeClock is an injectable service clock.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -314,7 +314,7 @@ func TestServePriorityOrder(t *testing.T) {
 	var order []string
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		mu.Lock()
 		order = append(order, req.Label)
 		first := len(order) == 1
@@ -369,7 +369,7 @@ func TestServePriorityOrder(t *testing.T) {
 // keeps serving.
 func TestServePanicContainment(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
-	boom := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	boom := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		if req.Label == "boom" {
 			panic("query poisoned")
 		}
@@ -392,92 +392,6 @@ func TestServePanicContainment(t *testing.T) {
 	if st.Failed != 1 || st.Completed != 1 {
 		t.Errorf("stats = %+v, want 1 failed and 1 completed", st)
 	}
-}
-
-// TestServeBreakerDemotesAndReprobes drives the breaker through its whole
-// state machine with a fake clock: repeated parallel panics open it (new
-// queries demoted to sequential), a probe after DemotionPeriod re-tries
-// the parallel engine, a failed probe re-opens, a successful one closes.
-func TestServeBreakerDemotesAndReprobes(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	var mu sync.Mutex
-	panicky := true
-	var engines []bool
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
-		mu.Lock()
-		engines = append(engines, parallel)
-		p := panicky
-		mu.Unlock()
-		if parallel && p {
-			panic("worker died")
-		}
-		return [][]float64{{1}}, RunReport{Attempts: 1}, nil
-	}
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	s, err := New(Config{Run: run, PanicThreshold: 2, DemotionPeriod: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.now = clock.now
-
-	par := Request{Parallel: true}
-	// Two consecutive panics open the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(context.Background(), par); err == nil {
-			t.Fatal("panicky parallel Submit succeeded, want contained panic error")
-		}
-	}
-	st := s.Stats()
-	if !st.BreakerOpen || st.Demotions != 1 {
-		t.Fatalf("stats after threshold = %+v, want breaker open with 1 demotion", st)
-	}
-
-	// While open, parallel requests are demoted to the sequential engine.
-	res, err := s.Submit(context.Background(), par)
-	if err != nil {
-		t.Fatalf("demoted Submit = %v", err)
-	}
-	if res.Report.Engine != "sequential" || !res.Report.Demoted {
-		t.Errorf("report = %+v, want a demoted sequential run", res.Report)
-	}
-
-	// After DemotionPeriod the next parallel request probes — and the
-	// still-panicky engine re-opens the breaker.
-	clock.advance(time.Minute + time.Second)
-	if _, err := s.Submit(context.Background(), par); err == nil {
-		t.Fatal("failing probe succeeded, want contained panic error")
-	}
-	st = s.Stats()
-	if !st.BreakerOpen || st.Probes != 1 || st.Demotions != 2 {
-		t.Fatalf("stats after failed probe = %+v, want re-opened breaker", st)
-	}
-
-	// Heal the engine; the next probe closes the breaker.
-	mu.Lock()
-	panicky = false
-	mu.Unlock()
-	clock.advance(time.Minute + time.Second)
-	res, err = s.Submit(context.Background(), par)
-	if err != nil {
-		t.Fatalf("healing probe = %v", err)
-	}
-	if !res.Report.Probe || res.Report.Engine != "parallel" {
-		t.Errorf("report = %+v, want a successful parallel probe", res.Report)
-	}
-	st = s.Stats()
-	if st.BreakerOpen {
-		t.Errorf("stats after successful probe = %+v, want breaker closed", st)
-	}
-
-	// Closed again: parallel requests run parallel, no probe flag.
-	res, err = s.Submit(context.Background(), par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Engine != "parallel" || res.Report.Probe || res.Report.Demoted {
-		t.Errorf("report = %+v, want a plain parallel run", res.Report)
-	}
-	mustClose(t, s)
 }
 
 // TestServeGracefulDrain checks Close stops admission, fails queued
@@ -652,8 +566,7 @@ func TestServeParsePriority(t *testing.T) {
 
 // TestConfigRejectsNegatives: every negative bound or duration must fail
 // construction with ErrInvalidInput instead of silently defaulting — a
-// negative Capacity would otherwise admit nothing, a negative
-// DemotionPeriod would make every breaker demotion instantly probed.
+// negative Capacity would otherwise admit nothing.
 func TestConfigRejectsNegatives(t *testing.T) {
 	cases := []struct {
 		name string
@@ -661,8 +574,6 @@ func TestConfigRejectsNegatives(t *testing.T) {
 	}{
 		{"capacity", Config{Run: okRun, Capacity: -1}},
 		{"queue-depth", Config{Run: okRun, QueueDepth: -2}},
-		{"panic-threshold", Config{Run: okRun, PanicThreshold: -1}},
-		{"demotion-period", Config{Run: okRun, DemotionPeriod: -time.Second}},
 		{"default-deadline", Config{Run: okRun, DefaultDeadline: -time.Millisecond}},
 		{"default-queue-timeout", Config{Run: okRun, DefaultQueueTimeout: -time.Minute}},
 	}
@@ -676,7 +587,7 @@ func TestConfigRejectsNegatives(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero config = %v", err)
 	}
-	if s.cfg.Capacity != 4 || s.cfg.QueueDepth != 64 || s.cfg.PanicThreshold != 3 || s.cfg.DemotionPeriod != 5*time.Second {
+	if s.cfg.Capacity != 4 || s.cfg.QueueDepth != 64 {
 		t.Errorf("defaults = %+v", s.cfg)
 	}
 }

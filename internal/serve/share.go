@@ -93,10 +93,8 @@ type flight struct {
 	done      chan struct{} // closed exactly once at resolution or abandonment
 	abandoned bool          // leader lost admission; followers must retry
 
-	multi    bool // sealed as a multi-source batch
-	parallel bool
-	probe    bool
-	seeded   bool
+	multi  bool // sealed as a multi-source batch
+	seeded bool
 
 	vals    [][][]float64 // per source, per snapshot
 	rep     RunReport
@@ -283,10 +281,10 @@ func (s *Service) resolveCacheHitLocked(req *Request, vals [][]float64, submitte
 
 // leadFlight drives a flight through admission, the engine run, and
 // resolution. The leader is a normal admitted request: its slot, queue
-// wait, breaker interaction, and terminal accounting all go through the
-// standard machinery — the flight only adds that the run is detached from
-// the leader's context (followers must survive the leader's departure)
-// and resolves every attached waiter.
+// wait, and terminal accounting all go through the standard machinery —
+// the flight only adds that the run is detached from the leader's context
+// (followers must survive the leader's departure) and resolves every
+// attached waiter.
 func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.CancelFunc, fp engine.Fingerprint, fl *flight, submitted time.Time) (*Result, error) {
 	w, err := s.admit(req, cancel)
 	if err != nil {
@@ -310,9 +308,7 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 	}
 	s.mu.Unlock()
 
-	parallel, probe := false, false
 	if !fl.multi {
-		parallel, probe = s.engineFor(req)
 		// Stable-vertex seeding: initialize the run from a cached converged
 		// CommonGraph solution of an overlapping window, when one exists.
 		if req.SeedBase == nil {
@@ -333,7 +329,6 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 	rctx, rcancel := context.WithCancel(context.WithoutCancel(ctx))
 	s.mu.Lock()
 	fl.cancel = rcancel
-	fl.parallel, fl.probe = parallel, probe
 	s.active[w] = rcancel
 	s.mu.Unlock()
 	go s.runFlight(fl, w, fp, rctx, rcancel)
@@ -375,14 +370,13 @@ func (s *Service) runFlight(fl *flight, w *waiter, fp engine.Fingerprint, rctx c
 		}
 	} else {
 		var vals [][]float64
-		vals, rep, runErr = s.runContained(rctx, fl.reqs[0], fl.parallel)
+		vals, rep, runErr = s.runContained(rctx, fl.reqs[0])
 		if runErr == nil {
 			vals3 = [][][]float64{vals}
 		}
 	}
 	runTime := s.now().Sub(start)
 	s.hRunTime.Observe(runTime.Nanoseconds())
-	s.noteBreaker(fl.parallel, fl.probe, panicOutcome(rep, runErr))
 	if runErr == nil {
 		for i, r := range fl.reqs {
 			var base []float64
@@ -472,11 +466,8 @@ func (s *Service) flightResult(fl *flight, idx int, mode string, submitted time.
 		vals[i] = append([]float64(nil), snap...)
 	}
 	engine := "sequential"
-	switch {
-	case fl.multi:
+	if fl.multi {
 		engine = "multi"
-	case fl.parallel && !fl.rep.FellBack:
-		engine = "parallel"
 	}
 	queueWait := s.now().Sub(submitted) - fl.runTime
 	if queueWait < 0 {
@@ -486,10 +477,7 @@ func (s *Service) flightResult(fl *flight, idx int, mode string, submitted time.
 		Values: vals,
 		Report: Report{
 			Engine:    engine,
-			Demoted:   fl.reqs[0].Parallel && !fl.parallel && !fl.multi,
-			Probe:     fl.probe,
 			Attempts:  fl.rep.Attempts,
-			FellBack:  fl.rep.FellBack,
 			Resumed:   fl.rep.Resumed,
 			Cache:     mode,
 			Seeded:    fl.seeded,

@@ -56,7 +56,7 @@ func overlapWindow(t *testing.T) *evolve.Window {
 func bitRun() (RunFunc, *atomic.Int64) {
 	var calls atomic.Int64
 	vals := [][]float64{{0, math.Inf(1), math.Float64frombits(0x3ff0000000000001), -0.0}}
-	return func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	return func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		calls.Add(1)
 		return vals, RunReport{Attempts: 1, Base: []float64{1, 2, 3, 4}}, nil
 	}, &calls
@@ -87,7 +87,7 @@ func sameBits(t *testing.T, label string, want, got [][]float64) {
 func TestShareIdenticalBurstSingleEngineRun(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
 	var calls atomic.Int64
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		calls.Add(1)
 		time.Sleep(200 * time.Microsecond)
 		return [][]float64{{1, 2, 3, 4}}, RunReport{Attempts: 1}, nil
@@ -136,7 +136,7 @@ func TestShareIdenticalBurstSingleEngineRun(t *testing.T) {
 func TestShareMixedSourceBurstPerSourceSingleRun(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
 	var calls atomic.Int64
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		calls.Add(1)
 		time.Sleep(200 * time.Microsecond)
 		return [][]float64{{float64(req.Source), 1, 2, 3}}, RunReport{Attempts: 1}, nil
@@ -386,7 +386,7 @@ func TestShareArrivalAfterLastDepartureLeadsFreshFlight(t *testing.T) {
 			release := sync.OnceFunc(func() { close(unwind) })
 			defer release()
 			var calls atomic.Int64
-			run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+			run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 				if calls.Add(1) > 1 {
 					return [][]float64{{7}}, RunReport{Attempts: 1}, nil
 				}
@@ -561,7 +561,7 @@ func TestShareBatchedMultiSource(t *testing.T) {
 func TestShareSeedFromOverlappingWindow(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
 	var seenSeed atomic.Pointer[[]float64]
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		if req.SeedBase != nil {
 			sb := append([]float64(nil), req.SeedBase...)
 			seenSeed.Store(&sb)
@@ -700,7 +700,7 @@ func TestSharePerTenantCacheBudget(t *testing.T) {
 func TestShareConcurrentChurn(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
 	var calls atomic.Int64
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		calls.Add(1)
 		select {
 		case <-time.After(200 * time.Microsecond):

@@ -191,7 +191,7 @@ func TestTenantWeightedFairShares(t *testing.T) {
 
 	started := make(chan string)
 	release := make(chan struct{})
-	run := func(ctx context.Context, req *Request, parallel bool) ([][]float64, RunReport, error) {
+	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		select {
 		case started <- req.Tenant:
 		case <-ctx.Done():

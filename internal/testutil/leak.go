@@ -9,8 +9,8 @@ import (
 // NoGoroutineLeak records the current goroutine count and registers a
 // cleanup that fails the test if, after the test body finishes, the count
 // stays above that baseline (plus a small tolerance for runtime helpers)
-// for two seconds. Call it at the top of any test that starts engine
-// workers or simulator lifecycles:
+// for two seconds. Call it at the top of any test that starts service
+// goroutines or simulator lifecycles:
 //
 //	func TestSomething(t *testing.T) {
 //		testutil.NoGoroutineLeak(t)

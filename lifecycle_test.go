@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mega"
-	"mega/internal/testutil"
 )
 
 func eightSnapshotWindow(t testing.TB) *mega.Window {
@@ -27,30 +26,9 @@ func eightSnapshotWindow(t testing.TB) *mega.Window {
 	return w
 }
 
-// TestEvaluateParallelContextCanceled checks the public cancellation
-// contract: a canceled context makes EvaluateParallelContext return an
-// error matching both mega.ErrCanceled and context.Canceled, with every
-// worker goroutine joined before it returns.
-func TestEvaluateParallelContextCanceled(t *testing.T) {
-	w := eightSnapshotWindow(t)
-	testutil.NoGoroutineLeak(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := mega.EvaluateParallelContext(ctx, w, mega.SSSP, 0, 4)
-	if !errors.Is(err, mega.ErrCanceled) {
-		t.Fatalf("err = %v, want mega.ErrCanceled", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled to match too", err)
-	}
-	var ce *mega.CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err %v is not a *mega.CanceledError", err)
-	}
-}
-
-// TestEvaluateContextDeadline checks deadline expiry surfaces the same
-// contract as explicit cancellation.
+// TestEvaluateContextDeadline checks deadline expiry surfaces the
+// cancellation contract: an error matching both mega.ErrCanceled and the
+// context's own error.
 func TestEvaluateContextDeadline(t *testing.T) {
 	w := eightSnapshotWindow(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))

@@ -59,8 +59,9 @@ import (
 //     Algorithm failed to converge (errors.As against *DivergenceError
 //     recovers the diagnostic counters).
 //
-// A panic inside a parallel worker is contained and surfaced as a
-// *WorkerPanicError (errors.As) instead of crashing the process.
+// EvaluateRecover and the query service contain a panic inside the engine
+// and surface it as a *WorkerPanicError (errors.As) instead of crashing
+// the process.
 var (
 	// ErrCanceled reports cooperative cancellation.
 	ErrCanceled = megaerr.ErrCanceled
@@ -76,7 +77,7 @@ type (
 	CanceledError = megaerr.CanceledError
 	// DivergenceError carries the watchdog's diagnostic counters.
 	DivergenceError = megaerr.DivergenceError
-	// WorkerPanicError carries a contained parallel-worker panic.
+	// WorkerPanicError carries a contained engine panic.
 	WorkerPanicError = megaerr.WorkerPanicError
 )
 
@@ -358,37 +359,6 @@ func EvaluateMultiSource(ctx context.Context, w *Window, k AlgorithmKind, source
 		for snap := range out[i] {
 			out[i][snap] = eng.SnapshotValuesFor(s, i, snap)
 		}
-	}
-	return out, nil
-}
-
-// EvaluateParallel is Evaluate on the goroutine-parallel software engine
-// (the paper's "software BOE", §5.2): vertex-sharded workers exchange
-// events through mailboxes with a barrier per round. workers <= 0 selects
-// GOMAXPROCS. Results are identical to Evaluate's.
-func EvaluateParallel(w *Window, k AlgorithmKind, source VertexID, workers int) ([][]float64, error) {
-	return EvaluateParallelContext(context.Background(), w, k, source, workers)
-}
-
-// EvaluateParallelContext is EvaluateParallel under a lifecycle: ctx is
-// checked at every barrier round (cancellation returns within one round,
-// with all workers joined), worker panics surface as *WorkerPanicError,
-// and the divergence watchdog bounds the run.
-func EvaluateParallelContext(ctx context.Context, w *Window, k AlgorithmKind, source VertexID, workers int) ([][]float64, error) {
-	s, err := sched.New(sched.BOE, w)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.NewParallel(w, algo.New(k), source, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.RunContext(ctx, s, Limits{}); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, w.NumSnapshots())
-	for snap := range out {
-		out[snap] = eng.SnapshotValues(s, snap)
 	}
 	return out, nil
 }

@@ -151,27 +151,6 @@ func TestWindowFromPartsPublicAPI(t *testing.T) {
 	}
 }
 
-func TestEvaluateParallelPublicAPI(t *testing.T) {
-	ev := demoEvolution(t)
-	w, err := mega.NewWindow(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := mega.Evaluate(w, mega.SSNP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := mega.EvaluateParallel(w, mega.SSNP, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range seq {
-		if !testutil.EqualValues(seq[s], par[s]) {
-			t.Errorf("snapshot %d: parallel and sequential disagree", s)
-		}
-	}
-}
-
 func TestEdgeListWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/graph.txt"

@@ -8,10 +8,10 @@ import (
 // Observability surface (internal/metrics re-exported). A MetricsRegistry
 // collects the counters, gauges, and histograms every layer of the
 // reproduction emits — engine queue traffic, cache and DRAM-channel
-// behaviour, parallel-phase wall time, recovery retries — together with
-// the named invariant audits (conservation laws) those layers check at op
-// and run boundaries. Snapshots are deterministic and JSON-serializable;
-// see `megasim -metrics` and DESIGN.md §10 for the metric taxonomy.
+// behaviour, recovery retries — together with the named invariant audits
+// (conservation laws) those layers check at op and run boundaries.
+// Snapshots are deterministic and JSON-serializable; see `megasim -metrics`
+// and DESIGN.md §10 for the metric taxonomy.
 type (
 	// MetricsRegistry holds one run's instruments and audits.
 	MetricsRegistry = metrics.Registry

@@ -2,7 +2,6 @@ package mega
 
 import (
 	"context"
-	"errors"
 	"runtime/debug"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"mega/internal/fault"
 	"mega/internal/gen"
 	"mega/internal/megaerr"
-	"mega/internal/metrics"
 	"mega/internal/sched"
 )
 
@@ -40,7 +38,7 @@ func WithFaultPlan(ctx context.Context, p *FaultPlan) context.Context {
 }
 
 // ParseFaultOp parses the "site[#shard]:kind[=latency]@visit[xevery]"
-// grammar, e.g. "engine.round:transient@120" or "parallel.phase#2:panic@3".
+// grammar, e.g. "engine.round:transient@120" or "engine.round:panic@3".
 func ParseFaultOp(spec string) (FaultOp, error) { return fault.ParseOp(spec) }
 
 // FaultPlanFromContext returns the fault plan carried by ctx, or nil —
@@ -74,17 +72,11 @@ func LoadEvolutionContext(ctx context.Context, dir string) (*Evolution, error) {
 	return gen.LoadContext(ctx, dir)
 }
 
-// RecoverOptions configures EvaluateRecover's engine and retry policy.
-// The zero value evaluates sequentially with up to 3 restarts, each
-// resuming from a checkpoint taken at the failure point; periodic
-// checkpoints are encoded only when a Sink or Store consumes them.
+// RecoverOptions configures EvaluateRecover's retry policy. The zero value
+// allows up to 3 restarts, each resuming from a checkpoint taken at the
+// failure point; periodic checkpoints are encoded only when a Sink or
+// Store consumes them.
 type RecoverOptions struct {
-	// Parallel selects the sharded parallel engine; Workers <= 0 uses
-	// GOMAXPROCS. After a contained worker panic the retry loop falls
-	// back to the sequential engine automatically.
-	Parallel bool
-	Workers  int
-
 	// CheckpointEvery is the round interval between automatic
 	// checkpoints (0 = every 32 rounds); they are also taken at every
 	// batch boundary. The cadence applies only when a Sink or Store
@@ -94,7 +86,7 @@ type RecoverOptions struct {
 	CheckpointEvery int
 
 	// MaxRetries bounds how many times a failed attempt is restarted
-	// (0 = 3). Non-transient, non-panic failures are never retried.
+	// (0 = 3). Only transient failures are retried.
 	MaxRetries int
 	// Backoff is the base delay before a retry; attempt n waits
 	// (n+1)×Backoff (0 = 5ms). The wait respects ctx cancellation.
@@ -131,9 +123,9 @@ type RecoverOptions struct {
 	StoreID ckptstore.QueryID
 
 	// Metrics, when non-nil, receives the retry loop's counters
-	// (recover_attempts, recover_resumes, recover_backoff_waits,
-	// recover_fallbacks) and, from the successful attempt's engine, the
-	// engine-level counter families and queue audits.
+	// (recover_attempts, recover_resumes, recover_backoff_waits) and, from
+	// the successful attempt's engine, the engine-level counter families
+	// and queue audits.
 	Metrics *MetricsRegistry
 }
 
@@ -144,9 +136,6 @@ type Recovery struct {
 	// Resumes counts attempts that restored a checkpoint (rather than
 	// restarting from scratch).
 	Resumes int
-	// FellBack is true when a worker panic demoted the run from the
-	// parallel engine to the sequential one.
-	FellBack bool
 	// DurableResume is true when the first attempt restored a checkpoint
 	// loaded from the durable store (RecoverOptions.Store) — the query
 	// picked up where a previous process left off.
@@ -174,34 +163,17 @@ var sleepRetry = func(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// resumableEngine is the checkpoint surface shared by both engines.
-type resumableEngine interface {
-	RunContext(ctx context.Context, s *Schedule, lim Limits) error
-	SnapshotValues(s *Schedule, snap int) []float64
-	SetCheckpointEvery(n int)
-	SetCheckpointSink(sink func([]byte) error)
-	Restore(data []byte) error
-	LastCheckpoint() []byte
-	Checkpoint() ([]byte, error)
-	SetMetrics(reg *metrics.Registry)
-	SeedBase(base []float64) error
-	BaseValues() []float64
-}
-
 // EvaluateRecover evaluates the query like EvaluateContext but survives
-// transient faults and worker panics: on a retryable failure a fresh
-// engine resumes from a checkpoint after a short backoff. Recovery is
-// pay-as-you-go. With a Sink or Store the run checkpoints periodically
-// (every CheckpointEvery rounds and at batch boundaries) and a retry
-// resumes from the last one delivered. With neither, a fault-free run
-// encodes nothing; a transient fault surfaces at a round or stage
-// boundary, so the retry checkpoints the failed engine's live state and
-// resumes at the failure point itself. A torn failure (a worker panic or
-// a fault inside a parallel phase) has no consistent live state and
-// restarts from the last retained checkpoint, or from scratch. A panic
-// inside the parallel engine demotes the retry to the sequential engine —
-// checkpoints are engine-portable. The returned Recovery describes what
-// happened; it is non-nil even on error.
+// transient faults: on one, a fresh engine resumes from a checkpoint after
+// a short backoff. Recovery is pay-as-you-go. With a Sink or Store the run
+// checkpoints periodically (every CheckpointEvery rounds and at batch
+// boundaries) and a retry resumes from the last one delivered. With
+// neither, a fault-free run encodes nothing; a transient fault surfaces at
+// a round or stage boundary, so the retry checkpoints the failed engine's
+// live state and resumes at the failure point itself. A panic inside the
+// engine is contained and returned as a *WorkerPanicError, never retried:
+// its live state may be torn, and whatever panicked would panic again. The
+// returned Recovery describes what happened; it is non-nil even on error.
 func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source VertexID, mode ScheduleMode, opt RecoverOptions) ([][]float64, *Recovery, error) {
 	every := opt.CheckpointEvery
 	if every <= 0 {
@@ -221,7 +193,6 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 		return nil, &Recovery{}, err
 	}
 	a := algo.New(k)
-	parallel := opt.Parallel
 	lastCkpt := opt.Checkpoint
 	rec := &Recovery{}
 
@@ -259,24 +230,11 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 		if opt.Metrics != nil {
 			opt.Metrics.Counter("recover_attempts").Inc()
 		}
-		var eng resumableEngine
-		if parallel {
-			p, err := engine.NewParallel(w, a, source, opt.Workers)
-			if err != nil {
-				return nil, rec, err
-			}
-			// Dirty tracking stays on at any cadence, so a failure-time
-			// checkpoint restores into the sequential engine too.
-			p.EnableLiveCheckpoint()
-			eng = p
-		} else {
-			m, err := engine.NewMulti(w, a, source, nil)
-			if err != nil {
-				return nil, rec, err
-			}
-			eng = m
+		eng, err := engine.NewMulti(w, a, source, nil)
+		if err != nil {
+			return nil, rec, err
 		}
-		// Attach the registry to every attempt: the engines record their
+		// Attach the registry to every attempt: the engine records its
 		// counter families only at successful completion, so failed
 		// attempts contribute the retry-loop counters but no engine rows.
 		eng.SetMetrics(opt.Metrics)
@@ -341,40 +299,21 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 			return out, rec, nil
 		}
 		rec.Faults = append(rec.Faults, err.Error())
+		if !IsTransient(err) || rec.Attempts > retries {
+			return nil, rec, err
+		}
 
 		if sink != nil {
 			// The retained auto-checkpoint was serialized at an earlier
-			// consistent barrier, so it is safe even after a mid-phase panic.
+			// consistent round or stage boundary.
 			if ckpt := eng.LastCheckpoint(); ckpt != nil {
 				lastCkpt = ckpt
 			}
-		} else if IsTransient(err) {
+		} else if ckpt, cerr := eng.Checkpoint(); cerr == nil {
 			// No periodic checkpoints: take one now. Transient faults fire
 			// at round and stage boundaries, where the live state is
-			// consistent; the engine refuses if a phase fault tore it, and a
-			// panic never gets here — both keep the previous resume point.
-			if ckpt, cerr := eng.Checkpoint(); cerr == nil {
-				lastCkpt = ckpt
-			}
-		}
-
-		var wp *WorkerPanicError
-		switch {
-		case parallel && errors.As(err, &wp):
-			// Contained worker panic: demote to the sequential engine and
-			// resume. The demotion itself consumes a retry.
-			parallel = false
-			rec.FellBack = true
-			if opt.Metrics != nil {
-				opt.Metrics.Counter("recover_fallbacks").Inc()
-			}
-		case IsTransient(err):
-			// Retryable; fall through to the backoff below.
-		default:
-			return nil, rec, err
-		}
-		if rec.Attempts > retries {
-			return nil, rec, err
+			// consistent.
+			lastCkpt = ckpt
 		}
 		wait := time.Duration(rec.Attempts) * backoff
 		if opt.Metrics != nil {
@@ -387,10 +326,12 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 	}
 }
 
-// runContained runs the engine, converting any panic that escapes it into
-// a *WorkerPanicError so the retry loop can treat sequential-engine
-// panics (e.g. injected ones) like contained parallel worker panics.
-func runContained(ctx context.Context, eng resumableEngine, s *Schedule, lim Limits) (err error) {
+// runContained runs the engine, converting any panic that escapes it (an
+// injected one, or a bug in an Algorithm) into a *WorkerPanicError, so a
+// query that panics fails alone, with a typed error carrying the stack,
+// instead of taking its process down. Shard is -1: the engine runs on the
+// caller's goroutine.
+func runContained(ctx context.Context, eng *engine.Multi, s *Schedule, lim Limits) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &megaerr.WorkerPanicError{Shard: -1, Value: r, Stack: debug.Stack()}

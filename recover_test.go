@@ -8,7 +8,6 @@ import (
 
 	"mega"
 	"mega/internal/fault"
-	"mega/internal/testutil"
 )
 
 // instantBackoff replaces EvaluateRecover's real backoff clock with a
@@ -29,7 +28,7 @@ func instantBackoff(t *testing.T) *[]time.Duration {
 }
 
 // countRounds runs the query once under an empty fault plan and returns
-// how many engine round boundaries a sequential run visits — the basis
+// how many engine round boundaries a run visits — the basis
 // for placing injected faults mid-run.
 func countRounds(t *testing.T, w *mega.Window) uint64 {
 	t.Helper()
@@ -97,79 +96,78 @@ func TestEvaluateRecoverTransient(t *testing.T) {
 }
 
 // TestEvaluateRecoverSolveRoundTransient fails the CommonGraph base solve
-// at its first lifecycle check — before a vertex is expanded, for both
-// engines (the parallel one runs the same solve) — and checks the retry
-// solves it again and returns a fault-free run's bits.
+// at its first lifecycle check — before a vertex is expanded — and checks
+// the retry solves it again and returns a fault-free run's bits.
 func TestEvaluateRecoverSolveRoundTransient(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
 	w := eightSnapshotWindow(t)
 	clean, err := mega.Evaluate(w, mega.SSSP, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	instantBackoff(t)
-	for _, opt := range []mega.RecoverOptions{{}, {Parallel: true, Workers: 2}} {
-		op, err := mega.ParseFaultOp("solve.round:transient@1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mega.NewFaultPlan(1).Add(op)
-		got, rec, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), plan), w, mega.SSSP, 0, mega.BOE, opt)
-		if err != nil {
-			t.Fatalf("parallel=%v: EvaluateRecover = %v, want recovery", opt.Parallel, err)
-		}
-		if rec.Attempts != 2 || len(rec.Faults) != 1 || rec.FellBack {
-			t.Errorf("parallel=%v: recovery = %+v, want 2 attempts, the injected fault, no fallback", opt.Parallel, rec)
-		}
-		if got := plan.Visits("solve.round", -1); got != 2 {
-			t.Errorf("parallel=%v: solve.round visited %d times, want once per attempt", opt.Parallel, got)
-		}
-		identicalBits(t, "solve.round:transient@1", clean, got)
+	op, err := mega.ParseFaultOp("solve.round:transient@1")
+	if err != nil {
+		t.Fatal(err)
 	}
+	plan := mega.NewFaultPlan(1).Add(op)
+	got, rec, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), plan), w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{})
+	if err != nil {
+		t.Fatalf("EvaluateRecover = %v, want recovery", err)
+	}
+	if rec.Attempts != 2 || len(rec.Faults) != 1 {
+		t.Errorf("recovery = %+v, want 2 attempts and the injected fault", rec)
+	}
+	if got := plan.Visits("solve.round", -1); got != 2 {
+		t.Errorf("solve.round visited %d times, want once per attempt", got)
+	}
+	identicalBits(t, "solve.round:transient@1", clean, got)
 }
 
-// TestEvaluateRecoverParallelPanicFallsBack injects a panic into a
-// parallel worker phase and checks the retry loop demotes to the
-// sequential engine and still matches a clean run. No sink is set, so no
-// periodic checkpoint exists and the panicked engine's live state is
-// torn: the demoted attempt restarts from scratch
-// (TestEvaluateRecoverNoSinkTornPhaseRestarts pins that; with a sink it
-// would resume from the last delivered checkpoint — they are
-// engine-portable).
-func TestEvaluateRecoverParallelPanicFallsBack(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+// TestEvaluateRecoverPanicIsNotRetried injects a panic at a mid-run round
+// boundary and checks the retry loop contains it — a *WorkerPanicError
+// from the caller's goroutine (Shard -1) carrying the stack — and gives up
+// at once: the panicked engine's live state may be torn and whatever
+// panicked would panic again, so there is one attempt, one recorded fault
+// and no backoff, whether or not a Sink holds an earlier checkpoint.
+func TestEvaluateRecoverPanicIsNotRetried(t *testing.T) {
 	w := eightSnapshotWindow(t)
-	clean, err := mega.Evaluate(w, mega.SSSP, 0)
-	if err != nil {
-		t.Fatal(err)
+	kill := countRounds(t, w) / 2
+	for _, tc := range []struct {
+		name string
+		sink func([]byte) error
+	}{
+		{"no-sink", nil},
+		{"sink", func([]byte) error { return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op, err := mega.ParseFaultOp("engine.round:panic@" + itoa(kill))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := mega.NewFaultPlan(3).Add(op)
+			waits := instantBackoff(t)
+			got, rec, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), plan), w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{
+				CheckpointEvery: 1,
+				Sink:            tc.sink,
+			})
+			var wp *mega.WorkerPanicError
+			if !errors.As(err, &wp) {
+				t.Fatalf("EvaluateRecover = %v, want a *WorkerPanicError", err)
+			}
+			if wp.Shard != -1 || len(wp.Stack) == 0 {
+				t.Errorf("panic error = shard %d with %d stack bytes, want shard -1 and a stack", wp.Shard, len(wp.Stack))
+			}
+			if got != nil {
+				t.Error("a panicked run returned values")
+			}
+			if rec.Attempts != 1 || rec.Resumes != 0 || len(rec.Faults) != 1 {
+				t.Errorf("recovery = %+v, want 1 attempt, no resume, the panic as the only fault", rec)
+			}
+			if len(*waits) != 0 {
+				t.Errorf("backoff waits = %v, want none: a panic is not retried", *waits)
+			}
+		})
 	}
-
-	op, err := mega.ParseFaultOp("parallel.phase#1:panic@4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := mega.NewFaultPlan(3).Add(op)
-	ctx := mega.WithFaultPlan(context.Background(), plan)
-
-	instantBackoff(t)
-	got, rec, err := mega.EvaluateRecover(ctx, w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{
-		Parallel:        true,
-		Workers:         4,
-		CheckpointEvery: 1,
-	})
-	if err != nil {
-		t.Fatalf("EvaluateRecover = %v, want fallback recovery", err)
-	}
-	if !rec.FellBack {
-		t.Errorf("recovery = %+v, want FellBack after a worker panic", rec)
-	}
-	if rec.Attempts < 2 {
-		t.Errorf("attempts = %d, want at least 2", rec.Attempts)
-	}
-	if len(rec.Faults) == 0 {
-		t.Error("no fault recorded for the contained panic")
-	}
-	sameValues(t, clean, got)
 }
 
 // TestEvaluateRecoverRetriesExhausted uses a periodic transient fault that
@@ -312,103 +310,44 @@ func TestEvaluateRecoverRejectsCorruptCheckpoint(t *testing.T) {
 // sweep for failure-time checkpoints: with no Sink or Store nothing is
 // checkpointed periodically, so a retry resumes from a checkpoint of the
 // failed engine's live state. One transient is injected at every round-
-// and stage-boundary visit of each engine; every run must recover in
-// exactly two attempts, the second a resume, with Float64bits-identical
-// values.
+// and stage-boundary visit; every run must recover in exactly two
+// attempts, the second a resume, with Float64bits-identical values.
 func TestEvaluateRecoverNoSinkCrashEquivalence(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
 	w := soakWindow(t)
 	clean, err := mega.Evaluate(w, mega.SSSP, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	instantBackoff(t)
-	for _, tc := range []struct {
-		name  string
-		opt   mega.RecoverOptions
-		sites []string
-	}{
-		{"multi", mega.RecoverOptions{}, []string{"engine.round", "engine.op"}},
-		{"parallel-1", mega.RecoverOptions{Parallel: true, Workers: 1}, []string{"parallel.round"}},
-		{"parallel-4", mega.RecoverOptions{Parallel: true, Workers: 4}, []string{"parallel.round"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			counter := mega.NewFaultPlan(1)
-			if _, _, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), counter),
-				w, mega.SSSP, 0, mega.BOE, tc.opt); err != nil {
-				t.Fatal(err)
+	t.Run("multi", func(t *testing.T) {
+		counter := mega.NewFaultPlan(1)
+		if _, _, err := mega.EvaluateRecover(mega.WithFaultPlan(context.Background(), counter),
+			w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, site := range []string{"engine.round", "engine.op"} {
+			total := counter.Visits(fault.Site(site), -1)
+			if total == 0 {
+				t.Fatalf("baseline never visited %s", site)
 			}
-			for _, site := range tc.sites {
-				total := counter.Visits(fault.Site(site), -1)
-				if total == 0 {
-					t.Fatalf("baseline never visited %s", site)
+			for kill := uint64(1); kill <= total; kill++ {
+				spec := site + ":transient@" + itoa(kill)
+				op, err := mega.ParseFaultOp(spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for kill := uint64(1); kill <= total; kill++ {
-					spec := site + ":transient@" + itoa(kill)
-					op, err := mega.ParseFaultOp(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ctx := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(1).Add(op))
-					got, rec, err := mega.EvaluateRecover(ctx, w, mega.SSSP, 0, mega.BOE, tc.opt)
-					if err != nil {
-						t.Fatalf("%s: %v", spec, err)
-					}
-					if rec.Attempts != 2 || rec.Resumes != 1 || rec.FellBack {
-						t.Fatalf("%s: recovery = %+v, want 2 attempts, 1 resume, no fallback", spec, rec)
-					}
-					identicalBits(t, spec, clean, got)
+				ctx := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(1).Add(op))
+				got, rec, err := mega.EvaluateRecover(ctx, w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", spec, err)
 				}
+				if rec.Attempts != 2 || rec.Resumes != 1 {
+					t.Fatalf("%s: recovery = %+v, want 2 attempts, 1 resume", spec, rec)
+				}
+				identicalBits(t, spec, clean, got)
 			}
-		})
-	}
-}
-
-// TestEvaluateRecoverNoSinkTornPhaseRestarts covers the failures whose
-// live state is torn — a panic and a transient inside a parallel worker
-// phase. With no sink there is no earlier checkpoint either, so the retry
-// must restart from scratch rather than restore a live checkpoint, and
-// still return clean-run values.
-func TestEvaluateRecoverNoSinkTornPhaseRestarts(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	w := eightSnapshotWindow(t)
-	clean, err := mega.Evaluate(w, mega.SSSP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	instantBackoff(t)
-	for _, tc := range []struct {
-		spec     string
-		fellBack bool
-		engine   string // engine of the successful attempt
-	}{
-		{"parallel.phase#1:panic@4", true, "multi"},
-		{"parallel.phase#1:transient@4", false, "parallel"},
-	} {
-		t.Run(tc.spec, func(t *testing.T) {
-			op, err := mega.ParseFaultOp(tc.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(3).Add(op))
-			reg := mega.NewMetricsRegistry()
-			got, rec, err := mega.EvaluateRecover(ctx, w, mega.SSSP, 0, mega.BOE, mega.RecoverOptions{
-				Parallel: true,
-				Workers:  4,
-				Metrics:  reg,
-			})
-			if err != nil {
-				t.Fatalf("EvaluateRecover = %v, want recovery by restart", err)
-			}
-			if rec.Attempts != 2 || rec.Resumes != 0 || rec.FellBack != tc.fellBack {
-				t.Errorf("recovery = %+v, want 2 attempts, 0 resumes, FellBack=%v", rec, tc.fellBack)
-			}
-			if n := reg.Counter("checkpoint_restored", "engine", tc.engine).Value(); n != 0 {
-				t.Errorf("checkpoint_restored{engine=%s} = %d, want 0: torn state must not be restored", tc.engine, n)
-			}
-			identicalBits(t, tc.spec, clean, got)
-		})
-	}
+		}
+	})
 }
 
 func itoa(v uint64) string {

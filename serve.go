@@ -13,10 +13,9 @@ import (
 // Concurrent query service (internal/serve re-exported). A QueryService
 // is a long-lived front door for many concurrent evaluations over shared
 // Windows: bounded admission with a priority wait queue, per-query
-// deadlines and cancellation, load shedding, a panic breaker that demotes
-// queries from the parallel to the sequential engine, and a graceful
-// drain on Close. Every admitted query runs through EvaluateRecover, so
-// transient faults retry from checkpoints and worker panics are contained.
+// deadlines and cancellation, load shedding, and a graceful drain on
+// Close. Every admitted query runs through EvaluateRecover, so transient
+// faults retry from checkpoints and a panicking query fails alone.
 type (
 	// QueryService is the concurrent query service; construct with
 	// NewQueryService.
@@ -86,12 +85,6 @@ type ServeOptions struct {
 	// DefaultQueueTimeout applies to requests with QueueTimeout == 0
 	// (0 = none).
 	DefaultQueueTimeout time.Duration
-	// PanicThreshold is how many consecutive parallel-engine panic
-	// outcomes demote new queries to the sequential engine (0 = 3).
-	PanicThreshold int
-	// DemotionPeriod is how long demotion lasts before a probe query
-	// re-tries the parallel engine (0 = 5s).
-	DemotionPeriod time.Duration
 	// Tenants maps tenant names to their QoS contracts; tenants absent
 	// from the table get DefaultTenant. Nil = single-tenant service.
 	Tenants map[string]TenantConfig
@@ -135,11 +128,11 @@ type ServeOptions struct {
 
 // NewQueryService builds a QueryService whose queries evaluate through
 // EvaluateRecover on BOE schedules: checkpointed retries for transient
-// faults, automatic parallel-to-sequential fallback on worker panics.
-// Close(ctx) drains it; see the serve package for the full lifecycle.
+// faults, panics contained per query. Close(ctx) drains it; see the serve
+// package for the full lifecycle.
 func NewQueryService(opt ServeOptions) (*QueryService, error) {
-	// The admission-layer bounds (Capacity, QueueDepth, PanicThreshold,
-	// durations) are validated by serve.New; the per-query recovery knobs
+	// The admission-layer bounds (Capacity, QueueDepth, durations) are
+	// validated by serve.New; the per-query recovery knobs
 	// are consumed here, so negative values must be refused here too
 	// instead of silently misbehaving inside every evaluation.
 	if opt.CheckpointEvery < 0 || opt.MaxRetries < 0 || opt.Backoff < 0 {
@@ -172,10 +165,8 @@ func NewQueryService(opt ServeOptions) (*QueryService, error) {
 		}
 		return CheckpointQueryID{Win: key, Algo: uint32(req.Algo), Source: uint32(req.Source), Tenant: tenant}, true
 	}
-	run := func(ctx context.Context, req *QueryRequest, parallel bool) ([][]float64, serve.RunReport, error) {
+	run := func(ctx context.Context, req *QueryRequest) ([][]float64, serve.RunReport, error) {
 		ropt := RecoverOptions{
-			Parallel:        parallel,
-			Workers:         req.Workers,
 			CheckpointEvery: opt.CheckpointEvery,
 			MaxRetries:      opt.MaxRetries,
 			Backoff:         opt.Backoff,
@@ -191,7 +182,6 @@ func NewQueryService(opt ServeOptions) (*QueryService, error) {
 		var rep serve.RunReport
 		if rec != nil {
 			rep.Attempts = rec.Attempts
-			rep.FellBack = rec.FellBack
 			rep.Resumed = rec.DurableResume
 			rep.Base = rec.Base
 		}
@@ -215,8 +205,6 @@ func NewQueryService(opt ServeOptions) (*QueryService, error) {
 		QueueDepth:          opt.QueueDepth,
 		DefaultDeadline:     opt.DefaultDeadline,
 		DefaultQueueTimeout: opt.DefaultQueueTimeout,
-		PanicThreshold:      opt.PanicThreshold,
-		DemotionPeriod:      opt.DemotionPeriod,
 		Tenants:             opt.Tenants,
 		DefaultTenant:       opt.DefaultTenant,
 		Metrics:             opt.Metrics,

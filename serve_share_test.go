@@ -255,17 +255,20 @@ func TestQueryServiceSoakSharing(t *testing.T) {
 	}
 
 	type class struct {
-		name     string
-		algo     mega.AlgorithmKind
-		src      mega.VertexID
-		parallel bool
+		name string
+		algo mega.AlgorithmKind
+		src  mega.VertexID
 		// abandon: cancel the caller's context shortly after submit; the
 		// outcome may be success (resolved first) or ErrCanceled.
 		abandon bool
+		// poison: the query carries a fault plan that panics in its third
+		// round. A chaos query runs solo beside the flights; it must fail
+		// alone with a *WorkerPanicError and leave nothing in the cache.
+		poison bool
 	}
 	classes := []class{
 		{name: "dup-seq", algo: mega.SSSP, src: 0},
-		{name: "dup-par", algo: mega.SSWP, src: 1, parallel: true},
+		{name: "poisoned", algo: mega.SSSP, src: 0, poison: true},
 		{name: "multi-a", algo: mega.SSSP, src: 2},
 		{name: "multi-b", algo: mega.SSSP, src: 3},
 		{name: "abandoner", algo: mega.SSSP, src: 0, abandon: true},
@@ -315,12 +318,18 @@ func TestQueryServiceSoakSharing(t *testing.T) {
 				defer cancel()
 				ctx = cctx
 			}
+			if c.poison {
+				op, perr := mega.ParseFaultOp("engine.round:panic@3")
+				if perr != nil {
+					outcomes <- outcome{idx: i, err: perr}
+					return
+				}
+				ctx = mega.WithFaultPlan(ctx, mega.NewFaultPlan(int64(i)).Add(op))
+			}
 			res, err := svc.Submit(ctx, mega.QueryRequest{
 				Window:   w,
 				Algo:     c.algo,
 				Source:   c.src,
-				Parallel: c.parallel,
-				Workers:  4,
 				Priority: mega.QueryPriority(i % 3),
 				Label:    fmt.Sprintf("%s/%d", c.name, i),
 			})
@@ -335,6 +344,10 @@ func TestQueryServiceSoakSharing(t *testing.T) {
 		resolved++
 		c := classes[o.idx%len(classes)]
 		switch {
+		case c.poison:
+			if !containedPanic(o.err) {
+				t.Errorf("query %d (%s) = %v, want a contained *WorkerPanicError", o.idx, c.name, o.err)
+			}
 		case o.err == nil:
 			succeeded++
 			identicalBits(t, fmt.Sprintf("query %d (%s)", o.idx, c.name),

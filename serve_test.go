@@ -188,18 +188,27 @@ type soakClass struct {
 	src  mega.VertexID
 	// faultSpec, when nonempty, is parsed into a fresh per-query plan.
 	faultSpec string
-	parallel  bool
 	deadline  time.Duration
 	// wantSuccess: the query must succeed with bit-identical values.
-	// Otherwise wantErr must match the failure.
+	// Otherwise the failure must be a *WorkerPanicError (wantPanic) or
+	// match wantErr.
 	wantSuccess bool
+	wantPanic   bool
 	wantErr     error
+}
+
+// containedPanic reports whether err is what a query that panicked must
+// fail with, in process or decoded from the wire (kind "panic", a 500): a
+// *WorkerPanicError from the goroutine that ran the engine.
+func containedPanic(err error) bool {
+	var wp *mega.WorkerPanicError
+	return errors.As(err, &wp) && wp.Shard == -1
 }
 
 // TestQueryServiceSoakChaos is the service's end-to-end proof: hundreds of
 // concurrent mixed-priority queries over one shared window, with fault
-// plans injecting transients, worker panics, and latency spikes, all under
-// the race detector. It asserts (1) no query is lost — every Submit
+// plans injecting transients, panics, and latency spikes, all under the
+// race detector. It asserts (1) no query is lost — every Submit
 // resolves with a result or a typed error, (2) accounting is conserved —
 // admitted == completed + failed + canceled with zero rejections at this
 // queue depth, (3) every successful result is bit-identical to a direct
@@ -214,7 +223,7 @@ func TestQueryServiceSoakChaos(t *testing.T) {
 	}
 
 	// The one-shot transient class kills the run mid-flight: find a round
-	// count the sequential engine actually reaches.
+	// count the engine actually reaches.
 	counter := mega.NewFaultPlan(1)
 	if _, err := mega.EvaluateContext(mega.WithFaultPlan(context.Background(), counter), w, mega.SSSP, 0); err != nil {
 		t.Fatal(err)
@@ -227,9 +236,8 @@ func TestQueryServiceSoakChaos(t *testing.T) {
 	classes := []soakClass{
 		{name: "clean-seq-latency", algo: mega.SSSP, src: 0,
 			faultSpec: "engine.round:latency=200us@2", wantSuccess: true},
-		{name: "clean-parallel", algo: mega.SSWP, src: 1, parallel: true, wantSuccess: true},
-		{name: "panic-fallback", algo: mega.SSSP, src: 2, parallel: true,
-			faultSpec: "parallel.phase#1:panic@3", wantSuccess: true},
+		{name: "panic-contained", algo: mega.SSSP, src: 2,
+			faultSpec: "engine.round:panic@3", wantPanic: true},
 		{name: "transient-resume", algo: mega.SSSP, src: 0,
 			faultSpec: fmt.Sprintf("engine.round:transient@%d", kill), wantSuccess: true},
 		{name: "transient-exhaust", algo: mega.SSWP, src: 1,
@@ -295,8 +303,6 @@ func TestQueryServiceSoakChaos(t *testing.T) {
 				Source:   c.src,
 				Priority: mega.QueryPriority(i % 3),
 				Deadline: c.deadline,
-				Parallel: c.parallel,
-				Workers:  4,
 				Label:    fmt.Sprintf("%s/%d", c.name, i),
 			})
 			outcomes <- outcome{idx: i, res: res, err: err}
@@ -319,6 +325,10 @@ func TestQueryServiceSoakChaos(t *testing.T) {
 			succeeded++
 			identicalBits(t, fmt.Sprintf("query %d (%s)", o.idx, c.name),
 				baseline[key{c.algo, c.src}], o.res.Values)
+		} else if c.wantPanic {
+			if !containedPanic(o.err) {
+				t.Errorf("query %d (%s) = %v, want a contained *WorkerPanicError", o.idx, c.name, o.err)
+			}
 		} else if !errors.Is(o.err, c.wantErr) {
 			t.Errorf("query %d (%s) = %v, want %v", o.idx, c.name, o.err, c.wantErr)
 		}
