@@ -19,6 +19,17 @@ go build ./...
 # removing an API it uses is green here and fails every workload at
 # `go build` in the pipeline. Build it too.
 (cd benchmark && go vet . && go build -o /dev/null .)
+# Building it is not running it: a change can compile and still fail a
+# workload's bit check or a ladder rung. Run each workload briefly, the
+# cold-pk run traced so the ladder verifies every rung's values; the last
+# line of each run must say the answers were correct.
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+for run in 'hot-pk 0' 'cold-pk 1' 'cold-wen 0'; do
+	set -- $run
+	bash benchmark/run.sh --workload "$1" --seed 1 --seconds 6 --trace "$2" >"$tmpdir/bench.out"
+	tail -n 1 "$tmpdir/bench.out" | grep -q '"correct":true'
+done
 # One engine: the names internal/engine/benchcompat.go keeps alive are for
 # that frozen harness alone. Nothing else may grow a dependency on them.
 if grep -rn --include='*.go' -e 'NewParallel' -e 'engine\.Parallel' . |
@@ -75,11 +86,12 @@ go test -count=1 -run '^TestServedSolveSettlesOnce$' ./internal/engine/
 # engine, while a Sink still receives the same 31 checkpoints, byte for
 # byte. Run without -race so B/op is the production allocator's.
 go test -count=1 -run '^TestRecoverNoSinkIsPayAsYouGo$' .
-# Wire-codec gate, same kind: encoding a query result allocates a small
-# constant whatever the body size (the values never pass through a
-# per-response buffer), decoding allocates at most 1.1x the values plus
-# the body buffer; and the byte-identity property — the codec's bytes are
-# encoding/json's — holds. Without -race for the same reason.
+# Wire-codec gate, same kind: encoding a query result in either form
+# allocates a small constant whatever the body size (the values never pass
+# through a per-response buffer), decoding the binary form allocates at
+# most 1.1x the values plus the body buffer; the JSON form's bytes are
+# encoding/json's, and the binary form decodes to the bits the JSON one
+# does. Without -race for the same reason.
 go test -count=1 -run '^(TestWireCodecAllocs|TestWireEncodeMatchesEncodingJSON)$' ./internal/httpfront/
 # Oracle gate: the reproduction's whole output is a golden. The simulators
 # are deterministic (simulated cycles, no wall clock), so megabench must
@@ -96,8 +108,6 @@ go test -run='^$' -fuzz=FuzzManifestDecode -fuzztime="$FUZZTIME" ./internal/ckpt
 go test -run='^$' -fuzz=FuzzDecodeQueryResponse -fuzztime="$FUZZTIME" ./internal/httpfront/
 # Metrics smoke: a snapshot written by megasim must round-trip through
 # its own validator — required families present, every audit passed.
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/megasim -snapshots 4 -metrics "$tmpdir/metrics.json" >/dev/null
 go run ./cmd/megasim -verify-metrics "$tmpdir/metrics.json"
 # Invariant-audit sweep with strict mode forced on.

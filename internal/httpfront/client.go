@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
@@ -217,6 +218,7 @@ func (c *Client) queryOnce(ctx context.Context, body []byte, tenant, reqID strin
 		return nil, false, megaerr.Invalidf("httpfront: building request: %v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", valuesType)
 	req.Header.Set("X-Request-Id", reqID+"-a"+strconv.Itoa(attempt))
 	if tenant != "" {
 		req.Header.Set(TenantHeader, tenant)
@@ -236,6 +238,10 @@ func (c *Client) queryOnce(ctx context.Context, body []byte, tenant, reqID strin
 	}()
 
 	if resp.StatusCode == http.StatusOK {
+		ct := resp.Header.Get("Content-Type")
+		if mt, _, _ := mime.ParseMediaType(ct); mt != valuesType {
+			return nil, false, megaerr.Invalidf("httpfront: bad response: a 200 of type %q, not %s", ct, valuesType)
+		}
 		raw, rerr := readBody(resp.Body, resp.ContentLength)
 		if rerr != nil {
 			return nil, false, rerr

@@ -61,10 +61,7 @@ func TestClientRetriesOverloadThenSucceeds(t *testing.T) {
 			}})
 			return
 		}
-		writeJSON(w, http.StatusOK, queryResponse{
-			Snapshots: 1, ValuesB64: encodeValues([][]float64{{1, math.Inf(1)}}),
-			Report: Report{Engine: "sequential", Attempts: 1},
-		})
+		writeQueryBinary(w, [][]float64{{1, math.Inf(1)}}, Report{Engine: "sequential", Attempts: 1}, "")
 	}))
 	defer ts.Close()
 
@@ -101,7 +98,7 @@ func TestClientRetries503Draining(t *testing.T) {
 			}})
 			return
 		}
-		writeJSON(w, http.StatusOK, queryResponse{Snapshots: 0, ValuesB64: []string{}})
+		writeQueryBinary(w, nil, Report{}, "")
 	}))
 	defer ts.Close()
 	c, _ := newTestClient(t, ts.URL, nil)
@@ -145,6 +142,29 @@ func TestClientDoesNotRetryNonRetryable(t *testing.T) {
 					hits.Load(), *slept)
 			}
 		})
+	}
+}
+
+// TestClientRefusesJSONResult: the client asks for the binary form only,
+// so a 200 in any other form — here the JSON one, as from a server that
+// ignores Accept — is a non-retryable ErrInvalidInput.
+func TestClientRefusesJSONResult(t *testing.T) {
+	defer testutil.NoGoroutineLeak(t)
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		if got := r.Header.Get("Accept"); got != valuesType {
+			t.Errorf("Accept = %q, want %q", got, valuesType)
+		}
+		writeQueryResult(w, [][]float64{{1}}, Report{Engine: "sequential", Attempts: 1}, "")
+	}))
+	defer ts.Close()
+	c, slept := newTestClient(t, ts.URL, nil)
+	if _, err := c.Query(context.Background(), QuerySpec{Algo: "BFS"}); !errors.Is(err, megaerr.ErrInvalidInput) {
+		t.Errorf("err = %v, want ErrInvalidInput", err)
+	}
+	if hits.Load() != 1 || len(*slept) != 0 {
+		t.Errorf("attempts = %d, backoffs = %v; want 1 and none", hits.Load(), *slept)
 	}
 }
 
@@ -415,10 +435,7 @@ func TestClientRetryAfterHTTPDate(t *testing.T) {
 			}})
 			return
 		}
-		writeJSON(w, http.StatusOK, queryResponse{
-			Snapshots: 1, ValuesB64: encodeValues([][]float64{{1}}),
-			Report: Report{Engine: "sequential", Attempts: 1},
-		})
+		writeQueryBinary(w, [][]float64{{1}}, Report{Engine: "sequential", Attempts: 1}, "")
 	}))
 	defer ts.Close()
 
@@ -451,10 +468,7 @@ func TestClientRetryAfterZeroSkipsBackoff(t *testing.T) {
 			}})
 			return
 		}
-		writeJSON(w, http.StatusOK, queryResponse{
-			Snapshots: 1, ValuesB64: encodeValues([][]float64{{1}}),
-			Report: Report{Engine: "sequential", Attempts: 1},
-		})
+		writeQueryBinary(w, [][]float64{{1}}, Report{Engine: "sequential", Attempts: 1}, "")
 	}))
 	defer ts.Close()
 

@@ -3,6 +3,7 @@ package httpfront
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,12 +52,27 @@ func referenceDecode(body []byte) (*QueryResult, error) {
 	return &QueryResult{Values: vals, Report: qr.Report, RequestID: qr.RequestID}, nil
 }
 
-// codecEncode runs writeQueryResult against a recorder and checks the
-// Content-Length it promised.
+// writeFunc is the signature both forms' encoders share.
+type writeFunc func(http.ResponseWriter, [][]float64, Report, string) error
+
+// codecEncode is the JSON form's body for a result, from writeQueryResult.
 func codecEncode(t testing.TB, vals [][]float64, rep Report, requestID string) []byte {
 	t.Helper()
+	return recordBody(t, writeQueryResult, vals, rep, requestID)
+}
+
+// binaryEncode is codecEncode for writeQueryBinary.
+func binaryEncode(t testing.TB, vals [][]float64, rep Report, requestID string) []byte {
+	t.Helper()
+	return recordBody(t, writeQueryBinary, vals, rep, requestID)
+}
+
+// recordBody runs write against a recorder and checks the Content-Length
+// it promised.
+func recordBody(t testing.TB, write writeFunc, vals [][]float64, rep Report, requestID string) []byte {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	if err := writeQueryResult(rec, vals, rep, requestID); err != nil {
+	if err := write(rec, vals, rep, requestID); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
@@ -131,8 +147,9 @@ func pkValues(scale int) [][]float64 {
 
 // TestWireEncodeMatchesEncodingJSON is the byte-identity property: for
 // generated value sets and envelopes, writeQueryResult's output is
-// json.Encoder's for the same queryResponse, and decodes back to the
-// same bits through both decoders.
+// json.Encoder's for the same queryResponse. It is also the round-trip
+// property of the binary form: the binary decode of the binary encode is
+// the reference JSON decode of the JSON encode, to the bit.
 func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 	triples := encodeOutBytes / 32 * 3 // values per full staging buffer
 	shapes := [][]int{
@@ -178,7 +195,7 @@ func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 			}
 			t.Fatalf("shape %v id %q: %d bytes vs encoding/json's %d, first difference at %d", shape, id, len(got), len(want), at)
 		}
-		res, err := decodeQueryResponse(got)
+		res, err := decodeQueryResponse(binaryEncode(t, vals, rep, id))
 		if err != nil {
 			t.Fatalf("shape %v: codec refuses its own body: %v", shape, err)
 		}
@@ -195,92 +212,98 @@ func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// frame builds a binary body by hand: env as the envelope, then raw.
+func frame(env string, raw ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(env)))
+	return append(append(b, env...), raw...)
+}
+
+// bits is vs as the binary form's value section.
+func bits(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// cornerBody is a body the encoder never produces and what the decoder
+// must make of it: want nil means it is refused with ErrInvalidInput.
+type cornerBody struct {
+	name string
+	body []byte
+	want *QueryResult
+}
+
+// cornerBodies are the decoder's corner table, and seeds of its fuzz target.
+func cornerBodies(t testing.TB) []cornerBody {
+	inf, nan := math.Inf(1), math.NaN()
+	return []cornerBody{
+		{"reordered", frame(`{"request_id":"r","report":{"engine":"x","attempts":1,"queue_wait":"1ms","run_time":5},"lengths":[1,0,2]}`, bits(1, inf, nan)...),
+			&QueryResult{[][]float64{{1}, {}, {inf, nan}}, Report{Engine: "x", Attempts: 1, QueueWait: Duration(time.Millisecond), RunTime: 5}, "r"}},
+		{"unknown keys, whitespace", frame(" {\"later\":{\"a\":[1,\"]}\"]},\n\"lengths\" : [ 1 ] }\n", bits(-2.5)...),
+			&QueryResult{[][]float64{{-2.5}}, Report{}, ""}},
+		{"escaped key", frame(`{"len\u0067ths":[0,1]}`, bits(inf)...), &QueryResult{[][]float64{{}, {inf}}, Report{}, ""}},
+		{"null lengths", frame(`{"lengths":null}`), &QueryResult{[][]float64{}, Report{}, ""}},
+		{"no lengths", frame(`{}`), &QueryResult{[][]float64{}, Report{}, ""}},
+		{"empty", nil, nil},
+		{"short frame header", []byte{2, 0, 0}, nil},
+		{"envelope past the end", append(binary.LittleEndian.AppendUint32(nil, 100), `{"lengths":[]}`...), nil},
+		{"envelope length 2^32-1", append(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), `{}`...), nil},
+		{"envelope not JSON", frame(`{lengths`), nil},
+		{"envelope not an object", frame(`[]`), nil},
+		{"data after envelope", frame(`{"lengths":[]}x`), nil},
+		{"lengths not an array", frame(`{"lengths":3}`, bits(1, 2, 3)...), nil},
+		{"negative length", frame(`{"lengths":[-1]}`, bits(1)...), nil},
+		{"length past int64", frame(`{"lengths":[99999999999999999999]}`, bits(1)...), nil},
+		{"length past the body", frame(`{"lengths":[4611686018427387904]}`, bits(1)...), nil},
+		{"lengths that wrap", frame(`{"lengths":[9223372036854775807,9223372036854775807,2]}`, bits(1, 2)...), nil},
+		{"short value section", frame(`{"lengths":[2]}`, bits(1)...), nil},
+		{"long value section", frame(`{"lengths":[1]}`, bits(1, 2)...), nil},
+		{"ragged value section", frame(`{"lengths":[1]}`, append(bits(1), 0)...), nil},
+		{"values with no lengths", frame(`{}`, bits(1)...), nil},
+		{"bad report", frame(`{"lengths":[],"report":{"queue_wait":"soon"}}`), nil},
+		{"a JSON-form body", codecEncode(t, [][]float64{{1}}, Report{}, ""), nil},
+	}
+}
+
 // TestDecodeQueryResponseCorners pins the decisions the decoder makes on
 // bodies the encoder never produces.
 func TestDecodeQueryResponseCorners(t *testing.T) {
-	one := encodeValues([][]float64{{1}})[0] // "AAAAAAAA8D8="
-	accept := map[string]string{
-		"reordered":     `{"request_id":"r","report":{"engine":"x","attempts":1,"queue_wait":"1ms","run_time":5},"values_b64":["` + one + `"],"snapshots":1}`,
-		"unknown keys":  `{"later":{"a":[1,"]}",{"b":null}]},"values_b64":["` + one + `"],"x":"\"","y":-1.5e3,"z":true}`,
-		"whitespace":    " \n{\t\"values_b64\" : [ \"" + one + "\" ,\r\n \"\" ] , \"snapshots\" : 2 }\n\n",
-		"null values":   `{"snapshots":0,"values_b64":null}`,
-		"no values":     `{"snapshots":0}`,
-		"empty object":  `{}`,
-		"escaped slash": `{"values_b64":["AAAAAAAA8D8=","\/\/\/\/\/\/\/\/\/\/8="]}`,
-		"escaped key":   `{"values_b6\u0034":["` + one + `"]}`,
-	}
-	for name, body := range accept {
-		res, err := decodeQueryResponse([]byte(body))
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		ref, err := referenceDecode([]byte(body))
-		if err != nil {
-			t.Errorf("%s: accepted, but the reference refuses: %v", name, err)
-		} else if err := sameResult(res, ref); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	refuse := map[string]string{
-		"empty":               ``,
-		"not an object":       `[]`,
-		"top-level null":      `null`,
-		"bad base64":          `{"values_b64":["!!!!"]}`,
-		"not a float array":   `{"values_b64":["AAAA"]}`,
-		"unpadded":            `{"values_b64":["AAAAAAAAAAA"]}`,
-		"raw newline":         "{\"values_b64\":[\"AAAAAAAA\n8D8=\"]}",
-		"newline past pad":    "{\"values_b64\":[\"AAAAAAAAAAA=\n\n\n\n\"]}",
-		"padding inside":      `{"values_b64":["AAAAAAAAAAA=AAAAAAAAAAA="]}`,
-		"null element":        `{"values_b64":[null]}`,
-		"number element":      `{"values_b64":[1]}`,
-		"values not an array": `{"values_b64":"` + one + `"}`,
-		"misspelt null":       `{"values_b64":nope}`,
-		"duplicate values":    `{"values_b64":[],"values_b64":["` + one + `"]}`,
-		"case variant":        `{"values_b64":["` + one + `"],"VALUES_B64":null}`,
-		"long-s variant":      `{"valueſ_b64":[]}`,
-		"trailing comma":      `{"values_b64":[],}`,
-		"trailing data":       `{"values_b64":[]}x`,
-		"trailing NUL":        "{\"values_b64\":[]}\x00",
-		"truncated":           `{"values_b64":["` + one,
-		"bad envelope type":   `{"values_b64":[],"snapshots":"two"}`,
-		"bad report":          `{"values_b64":[],"report":{"queue_wait":"soon"}}`,
-		"unterminated nest":   `{"a":[[{"values_b64":[]}`,
-	}
-	for name, body := range refuse {
-		if _, err := decodeQueryResponse([]byte(body)); !errors.Is(err, megaerr.ErrInvalidInput) {
-			t.Errorf("%s: err = %v, want ErrInvalidInput", name, err)
+	for _, tc := range cornerBodies(t) {
+		res, err := decodeQueryResponse(tc.body)
+		if tc.want == nil {
+			if !errors.Is(err, megaerr.ErrInvalidInput) {
+				t.Errorf("%s: err = %v, want ErrInvalidInput", tc.name, err)
+			}
+		} else if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if err := sameResult(res, tc.want); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }
 
-// FuzzDecodeQueryResponse is the differential fuzz: the codec's decoder
-// against encoding/json + decodeValues on arbitrary bodies.
+// FuzzDecodeQueryResponse: on any body the decoder returns a result or
+// ErrInvalidInput, never panics, allocates in proportion to the body, and
+// what it accepts survives a re-encode to the same bits.
 func FuzzDecodeQueryResponse(f *testing.F) {
-	small := codecEncode(f, [][]float64{{1, math.Inf(1)}, {}, {math.NaN()}},
+	small := binaryEncode(f, [][]float64{awkwardFloats, {}, {1, math.Inf(1)}},
 		Report{Engine: "sequential", Attempts: 1, RunTime: Duration(time.Millisecond)}, `id"<`)
 	for cut := 0; cut <= len(small); cut++ { // truncation at every offset
 		f.Add(small[:cut])
 	}
-	one := encodeValues([][]float64{{1}})[0]
-	for _, seed := range []string{
-		`{"request_id":"r","report":{"engine":"x","attempts":1},"values_b64":["` + one + `"],"snapshots":1}`,
-		`{"later":{"a":[1,"]}"]},"values_b64":["` + one + `"],"x":"\""}`,
-		" {\t\"values_b64\" : [ \"" + one + "\" ,\r\n \"\" ] }\n",
-		`{"values_b64":null}`, `{"snapshots":3}`, `{}`, `null`, `[]`,
-		`{"values_b64":["AAAAAAAA8D8=","\/\/\/\/\/\/\/\/\/\/8="]}`,
-		`{"values_b64":["AAAA\nAAAA8D8="]}`, "{\"values_b64\":[\"AAAAAAAAAAA=\n\n\n\n\"]}",
-		`{"values_b64":[null,1]}`, `{"values_b64":[],"VALUES_B64":["` + one + `"]}`,
-		`{"valueſ_b64":[]}`, `{"values_b64":[]}`, `{"values_b64":[],"values_b64":[]}`,
-		`{"report":{"engine":"a"},"report":{"cache":"hit"},"REQUEST_ID":"x"}`,
-		`{"values_b64":[]}garbage`, `{"values_b64":["` + one + `"]`,
-	} {
-		f.Add([]byte(seed))
+	f.Add(append(small, 0))
+	for _, tc := range cornerBodies(f) {
+		f.Add(tc.body)
 	}
+	f.Add(frame(`{"lengths":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}`))
+	f.Add(frame(`{"lengths":[],"report":{"engine":"a"},"report":{"cache":"hit"},"REQUEST_ID":"x"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		res, err := decodeQueryResponse(body)
-		// The factor's worst case is a body of empty strings: 3 bytes buy a
-		// 24-byte slice header, and append's doubling allocates it ~4 times.
+		// The factor's worst case is an envelope of zero lengths: 2 bytes
+		// ("0,") buy an 8-byte int and a 24-byte slice header, and append's
+		// doubling allocates the ints ~2 times.
 		got := allocBytesPerOp(1, func() { decodeQueryResponse(body) })
 		if limit := int64(64*len(body) + 16<<10); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over %d", len(body), got, limit)
@@ -291,14 +314,7 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 			}
 			return
 		}
-		ref, rerr := referenceDecode(body)
-		if rerr != nil {
-			t.Fatalf("codec accepts %q, reference refuses: %v", body, rerr)
-		}
-		if err := sameResult(res, ref); err != nil {
-			t.Fatalf("codec and reference disagree on %q: %v", body, err)
-		}
-		again, err := decodeQueryResponse(codecEncode(t, res.Values, res.Report, res.RequestID))
+		again, err := decodeQueryResponse(binaryEncode(t, res.Values, res.Report, res.RequestID))
 		if err != nil {
 			t.Fatalf("re-encoded result refused: %v", err)
 		}
@@ -347,10 +363,11 @@ func TestClientBodyFraming(t *testing.T) {
 		t.Fatalf("the wrapped handler still sent Content-Length %d; the test exercised nothing", resp.ContentLength)
 	}
 
-	body := codecEncode(t, pkValues(1), Report{Engine: "sequential", Attempts: 1}, "short")
+	body := binaryEncode(t, pkValues(1), Report{Engine: "sequential", Attempts: 1}, "short")
 	var calls atomic.Int32
 	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
+		w.Header().Set("Content-Type", valuesType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)
 		w.Write(body[:len(body)/2]) // net/http closes the connection on the short write
@@ -414,25 +431,29 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestResponseWriteErrorStopsEncoding: when the caller hangs up mid-body
-// the encoder gives up at the first failed Write instead of encoding the
-// remaining snapshots into a dead connection, and the failure is counted.
+// the encoder of either form gives up at the first failed Write instead of
+// encoding the remaining snapshots into a dead connection, and the failure
+// is counted.
 func TestResponseWriteErrorStopsEncoding(t *testing.T) {
 	big := pkValues(1)
 	run := func(context.Context, *serve.Request) ([][]float64, serve.RunReport, error) {
 		return big, serve.RunReport{Attempts: 1}, nil
 	}
-	s, _ := newTestFront(t, run, nil, nil)
-	w := &failingWriter{header: http.Header{}, limit: 100 << 10}
-	r := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader([]byte(`{"algo":"SSSP"}`)))
-	s.Handler().ServeHTTP(w, r)
-	if w.failedWrites != 1 {
-		t.Errorf("%d Writes failed; want the encoder to stop after the first", w.failedWrites)
-	}
-	if n := s.reg.Counter("http_response_write_errors").Value(); n != 1 {
-		t.Errorf("http_response_write_errors = %d, want 1", n)
-	}
-	if n := s.reg.Counter("http_responses", "status", "200").Value(); n != 1 {
-		t.Errorf("http_responses{200} = %d, want 1 (the status line was out)", n)
+	for _, accept := range []string{"", valuesType} {
+		s, _ := newTestFront(t, run, nil, nil)
+		w := &failingWriter{header: http.Header{}, limit: 100 << 10}
+		r := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader([]byte(`{"algo":"SSSP"}`)))
+		r.Header.Set("Accept", accept)
+		s.Handler().ServeHTTP(w, r)
+		if w.failedWrites != 1 {
+			t.Errorf("Accept %q: %d Writes failed; want the encoder to stop after the first", accept, w.failedWrites)
+		}
+		if n := s.reg.Counter("http_response_write_errors").Value(); n != 1 {
+			t.Errorf("Accept %q: http_response_write_errors = %d, want 1", accept, n)
+		}
+		if n := s.reg.Counter("http_responses", "status", "200").Value(); n != 1 {
+			t.Errorf("Accept %q: http_responses{200} = %d, want 1 (the status line was out)", accept, n)
+		}
 	}
 }
 
@@ -444,51 +465,58 @@ func (w *discardResponse) Header() http.Header         { return w.header }
 func (w *discardResponse) WriteHeader(int)             {}
 func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
-func benchWireEncode(b *testing.B, vals [][]float64) {
+func benchWireEncode(b *testing.B, write writeFunc) {
+	vals := pkValues(1)
 	rep := Report{Engine: "cache", Cache: "hit", QueueWait: Duration(61 * time.Microsecond)}
 	w := &discardResponse{header: http.Header{}}
-	b.SetBytes(int64(len(codecEncode(b, vals, rep, "17c3-42"))))
+	b.SetBytes(int64(len(recordBody(b, write, vals, rep, "17c3-42"))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeQueryResult(w, vals, rep, "17c3-42"); err != nil {
+		if err := write(w, vals, rep, "17c3-42"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// clientDecode is what the client does with a 200 response from the
-// socket onward: read the body into one buffer, decode it.
-func clientDecode(t testing.TB, body []byte) {
+// clientDecode is what a client does with a 200 response from the socket
+// onward: read the body into one buffer, decode it.
+func clientDecode(t testing.TB, body []byte, decode func([]byte) (*QueryResult, error)) {
 	raw, err := readBody(bytes.NewReader(body), int64(len(body)))
 	if err == nil {
-		_, err = decodeQueryResponse(raw)
+		_, err = decode(raw)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func benchWireDecode(b *testing.B, vals [][]float64) {
-	body := codecEncode(b, vals, Report{Engine: "cache", Cache: "hit"}, "17c3-42")
+func benchWireDecode(b *testing.B, write writeFunc, decode func([]byte) (*QueryResult, error)) {
+	body := recordBody(b, write, pkValues(1), Report{Engine: "cache", Cache: "hit"}, "17c3-42")
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clientDecode(b, body)
+		clientDecode(b, body, decode)
 	}
 }
 
 // The httpfront rows of the cost ledger (ROADMAP item 2): one PK′-sized
-// result (16 snapshots × 3,200 values, a 546 KB body) through each half
-// of the codec.
-func BenchmarkLayerWireEncode(b *testing.B) { benchWireEncode(b, pkValues(1)) }
-func BenchmarkLayerWireDecode(b *testing.B) { benchWireDecode(b, pkValues(1)) }
+// result (16 snapshots × 3,200 values; a 546 KB JSON body, a 410 KB
+// binary one) through each half of the codec. The JSON form is decoded
+// the way a Go caller without this package would, by encoding/json.
+func BenchmarkLayerWireEncode(b *testing.B)       { benchWireEncode(b, writeQueryResult) }
+func BenchmarkLayerWireEncodeBinary(b *testing.B) { benchWireEncode(b, writeQueryBinary) }
+func BenchmarkLayerWireDecode(b *testing.B)       { benchWireDecode(b, writeQueryResult, referenceDecode) }
+func BenchmarkLayerWireDecodeBinary(b *testing.B) {
+	benchWireDecode(b, writeQueryBinary, decodeQueryResponse)
+}
 
 // TestWireCodecAllocs is the deterministic proxy gate for the wire path
-// (wired into ci.sh): encoding allocates a small constant whatever the
-// body size — the values never pass through a per-response buffer — and
-// decoding allocates the values, the one body buffer, and little else.
+// (wired into ci.sh): encoding either form allocates a small constant
+// whatever the body size — the values never pass through a per-response
+// buffer — and decoding allocates the values, the one body buffer, and
+// little else.
 func TestWireCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("B/op under -race is the detector's, not the codec's")
@@ -502,14 +530,15 @@ func TestWireCodecAllocs(t *testing.T) {
 		vals := pkValues(scale)
 		values := 16 * 3200 * scale
 		rep := Report{Engine: "cache", Cache: "hit", QueueWait: Duration(61 * time.Microsecond)}
-		body := codecEncode(t, vals, rep, "17c3-42")
 		w := &discardResponse{header: http.Header{}}
-		enc := allocBytesPerOp(50, func() { writeQueryResult(w, vals, rep, "17c3-42") })
-		dec := allocBytesPerOp(20, func() { clientDecode(t, body) })
-		t.Logf("%d values, %d-byte body: encode %d B/op, decode %d B/op", values, len(body), enc, dec)
-		if enc > encodeLimit {
-			t.Errorf("encoding %d values allocates %d B/op, over the %d-byte constant", values, enc, encodeLimit)
+		for _, write := range []writeFunc{writeQueryResult, writeQueryBinary} {
+			if enc := allocBytesPerOp(50, func() { write(w, vals, rep, "17c3-42") }); enc > encodeLimit {
+				t.Errorf("encoding %d values allocates %d B/op, over the %d-byte constant", values, enc, encodeLimit)
+			}
 		}
+		body := binaryEncode(t, vals, rep, "17c3-42")
+		dec := allocBytesPerOp(20, func() { clientDecode(t, body, decodeQueryResponse) })
+		t.Logf("%d values, %d-byte body: decode %d B/op", values, len(body), dec)
 		limit := int64(1.1*float64(8*values)) + int64(len(body)) + 4<<10
 		if len(body) > bodyTrustBytes {
 			limit += bodyTrustBytes + 4<<10 // the first buffer, outgrown once

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"mime"
 	"net"
 	"net/http"
 	"strconv"
@@ -324,8 +325,8 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 
 // handleQuery answers POST /v1/query: decode and validate the spec,
 // submit through the service under the request's context (so a caller
-// hanging up cancels the query), and encode the result or the typed
-// failure.
+// hanging up cancels the query), and encode the result — in the form
+// Accept picks — or the typed failure, which is always JSON.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -370,9 +371,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	if err := writeQueryResult(w, res.Values, reportFromServe(res.Report), requestIDFrom(r.Context())); err != nil {
+	write := writeQueryResult
+	if acceptsValues(r.Header) {
+		write = writeQueryBinary
+	}
+	w.Header().Set("Vary", "Accept")
+	if err := write(w, res.Values, reportFromServe(res.Report), requestIDFrom(r.Context())); err != nil {
 		s.cWriteErrors.Inc()
 	}
+}
+
+// acceptsValues reports whether the request's Accept header names
+// valuesType with a q other than 0; a range or a q that does not parse
+// counts as not naming it. A wildcard does not name it either: only a
+// caller that knows the binary form gets it, and everyone else — curl, a
+// browser, any JSON client — keeps getting the JSON form.
+func acceptsValues(h http.Header) bool {
+	for _, field := range h.Values("Accept") {
+		for _, rng := range strings.Split(field, ",") {
+			mt, params, err := mime.ParseMediaType(rng)
+			if err != nil || mt != valuesType {
+				continue
+			}
+			if q, ok := params["q"]; ok {
+				if f, err := strconv.ParseFloat(q, 64); err != nil || !(f > 0) {
+					continue
+				}
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // tenantFromHeader reads and validates the X-Mega-Tenant header. An

@@ -118,11 +118,25 @@ func goPostQuery(t *testing.T, ts *httptest.Server, spec QuerySpec) {
 // postQuery posts spec and returns the status, headers, and parsed body.
 func postQuery(t *testing.T, ts *httptest.Server, spec QuerySpec) (int, http.Header, []byte) {
 	t.Helper()
+	return postQueryAccept(t, ts, spec, "")
+}
+
+// postQueryAccept is postQuery with an Accept header ("" sends none).
+func postQueryAccept(t *testing.T, ts *httptest.Server, spec QuerySpec, accept string) (int, http.Header, []byte) {
+	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +212,79 @@ func TestQuerySuccessBitIdentical(t *testing.T) {
 	}
 	if qr.Report.Engine != "sequential" || qr.Report.Attempts != 1 {
 		t.Errorf("report = %+v", qr.Report)
+	}
+}
+
+// TestQueryAcceptNegotiation: the binary form goes only to a request whose
+// Accept names it with a q other than 0. Every other request gets the JSON
+// form, json.Encoder's bytes as before, and both forms carry Vary: Accept.
+func TestQueryAcceptNegotiation(t *testing.T) {
+	defer testutil.NoGoroutineLeak(t)
+	_, ts := newTestFront(t, nil, nil, nil)
+	want := [][]float64{{0, 1, math.Inf(1)}, {0, 1, 1}}
+	for _, tc := range []struct {
+		accept string
+		binary bool
+	}{
+		{"", false},
+		{"*/*", false},
+		{"application/*", false},
+		{"application/json", false},
+		{valuesType, true},
+		{"Application/Vnd.Mega.Values", true},
+		{valuesType + ";q=0", false},
+		{valuesType + " ; Q=0.000", false},
+		{valuesType + ";q=0.5", true},
+		{"application/json;q=0.9, " + valuesType, true},
+		{"text/html, " + valuesType + ";q=0, */*", false},
+	} {
+		status, hdr, raw := postQueryAccept(t, ts, QuerySpec{Algo: "BFS"}, tc.accept)
+		if status != http.StatusOK {
+			t.Fatalf("Accept %q: status = %d, body %s", tc.accept, status, raw)
+		}
+		if got := hdr.Get("Vary"); got != "Accept" {
+			t.Errorf("Accept %q: Vary = %q, want Accept", tc.accept, got)
+		}
+		wantType, decode := "application/json", referenceDecode
+		if tc.binary {
+			wantType, decode = valuesType, decodeQueryResponse
+		}
+		if got := hdr.Get("Content-Type"); got != wantType {
+			t.Errorf("Accept %q: Content-Type = %q, want %q", tc.accept, got, wantType)
+		}
+		res, err := decode(raw)
+		if err != nil {
+			t.Fatalf("Accept %q: %v", tc.accept, err)
+		}
+		if err := sameResult(res, &QueryResult{Values: want, Report: res.Report, RequestID: res.RequestID}); err != nil {
+			t.Errorf("Accept %q: %v", tc.accept, err)
+		}
+		if !tc.binary && !bytes.Equal(raw, referenceEncode(t, res.Values, res.Report, res.RequestID)) {
+			t.Errorf("Accept %q: the JSON body is not json.Encoder's bytes", tc.accept)
+		}
+	}
+}
+
+// TestQueryErrorsStayJSON: a failure is the JSON error body whatever Accept
+// asks for, so the error taxonomy has one wire form.
+func TestQueryErrorsStayJSON(t *testing.T) {
+	defer testutil.NoGoroutineLeak(t)
+	_, ts := newTestFront(t, nil, nil, nil)
+	for _, tc := range []struct {
+		spec   QuerySpec
+		status int
+		kind   string
+	}{
+		{QuerySpec{Algo: "NOPE"}, http.StatusBadRequest, kindInvalid},
+		{QuerySpec{Algo: "BFS", Label: "fail:transient"}, http.StatusInternalServerError, kindTransient},
+	} {
+		status, hdr, raw := postQueryAccept(t, ts, tc.spec, valuesType)
+		if status != tc.status || hdr.Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, Content-Type %q; want %d, application/json", tc.kind, status, hdr.Get("Content-Type"), tc.status)
+		}
+		if we := wireErrOf(t, raw); we.Kind != tc.kind {
+			t.Errorf("kind = %q, want %q", we.Kind, tc.kind)
+		}
 	}
 }
 

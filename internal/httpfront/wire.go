@@ -24,20 +24,29 @@
 //	504 deadline     megaerr.ErrCanceled carrying context.DeadlineExceeded (deadline, queue timeout)
 //	500 transient / checkpoint / audit / panic / internal
 //
-// Result values travel as base64-encoded little-endian IEEE-754 arrays
-// (one string per snapshot) rather than JSON numbers: algorithm
-// identities include ±Inf, which JSON cannot represent, and the contract
-// demands Float64bits-identical values end to end. A result body is the
-// JSON object encoding/json would write for
+// Result values travel as little-endian IEEE-754 bits rather than JSON
+// numbers: algorithm identities include ±Inf, which JSON cannot
+// represent, and the contract demands Float64bits-identical values end to
+// end. A 200 from POST /v1/query has two forms, picked by the request's
+// Accept header (codec.go writes both in one pass, the values going from
+// []float64 to the socket through a fixed-size buffer, and a 200 always
+// carries Content-Length):
 //
-//	{"snapshots":N,"values_b64":[...],"report":{...},"request_id":"..."}
+//   - JSON, the default: the object encoding/json would write for
+//     {"snapshots":N,"values_b64":[...],"report":{...},"request_id":"..."},
+//     byte for byte, one base64 string per snapshot. Every client that can
+//     read JSON can read it, so curl and anything that did not ask for
+//     more keep getting exactly what they always got.
+//   - Binary, application/vnd.mega.values, only when Accept names that
+//     type with a q other than 0 (a wildcard does not): a uint32 LE
+//     envelope length, the envelope {"lengths":[...],"report":{...},
+//     "request_id":"..."} by encoding/json, then the values raw, 8 bytes
+//     each. Nothing to base64-encode or decode, and a quarter smaller.
 //
-// byte for byte, but codec.go writes and reads it in one pass: the values
-// go between []float64 and the socket through a fixed-size buffer, only
-// report and request_id pass through encoding/json, and a 200 always
-// carries Content-Length. The decoder accepts a subset of what
-// encoding/json would (same result wherever it accepts); wire_ref_test.go
-// keeps the encoding/json path as the reference both are tested against.
+// Both carry Vary: Accept. Error responses are JSON whatever Accept says.
+// The Client always asks for the binary form and refuses any other 200.
+// wire_ref_test.go keeps the encoding/json path as the reference the JSON
+// bytes and the binary round trip are tested against.
 package httpfront
 
 import (

@@ -3,8 +3,8 @@ package httpfront
 // The reflection-driven wire path POST /v1/query used before the one-pass
 // codec (codec.go), kept as the reference the codec is tested against:
 // writeQueryResult must produce json.Encoder's bytes for a queryResponse,
-// and decodeQueryResponse must accept only what json.Decoder +
-// decodeValues accept, with the same result.
+// and the binary form must decode to what json.Decoder + decodeValues
+// make of the JSON form of the same result.
 
 import (
 	"encoding/base64"
