@@ -13,6 +13,9 @@ if [ -n "$fmt_dirty" ]; then
 	exit 1
 fi
 go vet ./...
+# 32-bit targets compile: a constant or comparison that overflows a
+# 32-bit int is a vet error there and invisible on amd64.
+GOARCH=386 go vet ./...
 go build ./...
 # The benchmark harness is its own module (benchmark/go.mod, replace => ../)
 # and compiles against internal packages, so `./...` above never sees it:
@@ -96,10 +99,22 @@ go test -count=1 -run '^(TestWireCodecAllocs|TestWireEncodeMatchesEncodingJSON)$
 # Oracle gate: the reproduction's whole output is a golden. The simulators
 # are deterministic (simulated cycles, no wall clock), so megabench must
 # print results_full.txt — the numbers EXPERIMENTS.md quotes — line for
-# line (≈ 2.5 min). TestGoldenResults pins the cheap experiments in tier-1
-# and `-update` regenerates their blocks; a deliberate model change
-# regenerates the file with `go run ./cmd/megabench > results_full.txt`.
-go run ./cmd/megabench | diff - results_full.txt
+# line (≈ 2.5 min). One process per experiment: a run keeps every
+# workload it builds until it exits, so all of them in one process were
+# OOM-killed at 7.7 GB on an 8 GB host, while the largest single
+# experiment (fig20) peaks near 3.7 GB.
+# Each ID goes to stderr first, so an OOM kill names its experiment. The
+# concatenation is the same bytes, diffed against the same file.
+# TestGoldenResults pins the cheap experiments in tier-1 and `-update`
+# regenerates their blocks; a deliberate model change regenerates the file
+# with `go run ./cmd/megabench > results_full.txt`.
+go build -o "$tmpdir/megabench" ./cmd/megabench
+"$tmpdir/megabench" -list >"$tmpdir/experiments"
+for id in $(cut -d' ' -f1 "$tmpdir/experiments"); do
+	echo "oracle: $id" >&2
+	"$tmpdir/megabench" -exp "$id"
+done >"$tmpdir/oracle.out"
+diff "$tmpdir/oracle.out" results_full.txt
 go test -run='^$' -fuzz=FuzzLoadEdgeList -fuzztime="$FUZZTIME" ./internal/gen/
 go test -run='^$' -fuzz=FuzzNewWindowFromParts -fuzztime="$FUZZTIME" ./internal/evolve/
 go test -run='^$' -fuzz=FuzzCheckpointDecode -fuzztime="$FUZZTIME" ./internal/engine/

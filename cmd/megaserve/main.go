@@ -442,9 +442,9 @@ func runClient(ctx context.Context, opt clientOptions) error {
 			st.Rejected, st.Shed, st.Running, st.Queued,
 			time.Duration(st.RetryAfterHintMs)*time.Millisecond)
 		if st.Cache.MaxBytes > 0 {
-			fmt.Printf("cache hits=%d misses=%d lookups=%d coalesced=%d batched=%d seeded=%d engine_runs=%d entries=%d bytes=%d/%d\n",
+			fmt.Printf("cache hits=%d misses=%d lookups=%d coalesced=%d engine_runs=%d entries=%d bytes=%d/%d\n",
 				st.Cache.Hits, st.Cache.Misses, st.Cache.Lookups,
-				st.CoalescedQueries, st.BatchedQueries, st.SeededQueries, st.EngineRuns,
+				st.CoalescedQueries, st.EngineRuns,
 				st.Cache.Entries, st.Cache.Bytes, st.Cache.MaxBytes)
 		}
 		if st.Store.MaxBytes > 0 {

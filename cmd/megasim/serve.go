@@ -248,9 +248,8 @@ func runServe(ctx context.Context, w *mega.Window, kind mega.AlgorithmKind, src 
 		}
 	}
 	if st.Cache.MaxBytes > 0 {
-		fmt.Printf("cache:           %d hits / %d lookups, %d coalesced, %d batched, %d seeded; %d engine runs\n",
-			st.Cache.Hits, st.Cache.Lookups, st.CoalescedQueries, st.BatchedQueries,
-			st.SeededQueries, st.EngineRuns)
+		fmt.Printf("cache:           %d hits / %d lookups, %d coalesced; %d engine runs\n",
+			st.Cache.Hits, st.Cache.Lookups, st.CoalescedQueries, st.EngineRuns)
 	}
 	if st.Store.MaxBytes > 0 {
 		fmt.Printf("store:           %d queries, %d segments, %d/%d bytes; %d writes (%d promoted, %d failed, %d quarantined), %d reclaimed, %d resumes\n",

@@ -138,19 +138,6 @@ func TestStatsMaxLiveEvents(t *testing.T) {
 	}
 }
 
-func TestBaseValuesCached(t *testing.T) {
-	w := testMultiWindow(t, 2, 77)
-	m, err := NewMulti(w, algo.New(algo.SSSP), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := m.BaseValues()
-	b := m.BaseValues()
-	if &a[0] != &b[0] {
-		t.Error("BaseValues recomputed instead of cached")
-	}
-}
-
 // TestSolveContextRejectsSourceOutsideGraph: the static solver used to
 // index its queue with whatever source it was handed. Both of its loops,
 // and self-seeding algorithms that never read the source, refuse one

@@ -89,20 +89,3 @@ func (f Fingerprint) Equal(o Fingerprint) bool {
 	}
 	return true
 }
-
-// SharedPrefix counts the leading batch digests two fingerprints agree
-// on — how much of one window's evolution the other reproduces. Stable-
-// vertex seeding additionally requires equal Common digests; the prefix
-// length is reported for observability.
-func (f Fingerprint) SharedPrefix(o Fingerprint) int {
-	n := len(f.Batches)
-	if len(o.Batches) < n {
-		n = len(o.Batches)
-	}
-	for i := 0; i < n; i++ {
-		if f.Batches[i] != o.Batches[i] {
-			return i
-		}
-	}
-	return n
-}

@@ -32,14 +32,6 @@ type Multi struct {
 	src   graph.VertexID
 	probe Probe
 
-	// Multi-source batching (NewMultiSource): srcs lists every query
-	// source sharing this run; nil or length 1 is the classic single-
-	// source engine. nc is the unexpanded schedule's context count, so
-	// source k's context c lives at global context k*nc+c.
-	srcs    []graph.VertexID
-	nc      int
-	basePer [][]float64 // per-source CommonGraph solutions (index 0 aliases baseVals)
-
 	// batchOf is the window's union-edge → batch tag map (Window.BatchOf),
 	// shared and read-only.
 	batchOf []int32
@@ -50,8 +42,8 @@ type Multi struct {
 	// for one vertex — every context's value, pending candidate and tag —
 	// sits in that vertex's row, so relaxing an edge for all the contexts of
 	// a Δ+ stage touches a row at each end rather than one array per
-	// context. numCtx is the row length (the expanded schedule's context
-	// count) and words the mask words that many contexts need.
+	// context. numCtx is the row length (the schedule's context count) and
+	// words the mask words that many contexts need.
 	numCtx   int
 	words    int
 	vals     []float64 // [v*numCtx+c]
@@ -158,9 +150,6 @@ func (m *Multi) LastCheckpoint() []byte { return m.lastCkpt }
 func (m *Multi) Checkpoint() ([]byte, error) {
 	if !m.ran {
 		return nil, megaerr.Invalidf("engine: Checkpoint before Run")
-	}
-	if len(m.srcs) > 1 {
-		return nil, megaerr.Invalidf("engine: multi-source runs do not checkpoint")
 	}
 	return m.snapshotState().encode(), nil
 }
@@ -357,110 +346,6 @@ func checkSource(w *evolve.Window, src graph.VertexID) error {
 	return nil
 }
 
-// NewMultiSource builds one engine that answers the same query for
-// several source vertices in a single run — the cross-query half of BOE's
-// compute sharing. The schedule's contexts are replicated once per source
-// (context c of source k lives at global context k*nc+c) and every
-// non-shared batch application becomes one op whose target list spans all
-// sources, so each batch's edge stream is read once and seeds events for
-// every query, and the round loop's adjacency-fetch sharing extends
-// across queries. Contexts of different sources never interact, so each
-// source's results are bit-identical to its own single-source run.
-// Multi-source engines refuse Restore and SetCheckpointEvery: a batched
-// run that fails is simply re-run or split by the caller.
-func NewMultiSource(w *evolve.Window, a algo.Algorithm, srcs []graph.VertexID, probe Probe) (*Multi, error) {
-	if len(srcs) == 0 {
-		return nil, megaerr.Invalidf("engine: NewMultiSource with no sources")
-	}
-	seen := make(map[graph.VertexID]bool, len(srcs))
-	for _, src := range srcs {
-		if err := checkSource(w, src); err != nil {
-			return nil, err
-		}
-		if seen[src] {
-			return nil, megaerr.Invalidf("engine: duplicate source vertex %d", src)
-		}
-		seen[src] = true
-	}
-	m, err := NewMulti(w, a, srcs[0], probe)
-	if err != nil {
-		return nil, err
-	}
-	m.srcs = append([]graph.VertexID(nil), srcs...)
-	return m, nil
-}
-
-// SeedBase primes the engine with a precomputed CommonGraph solution so
-// Run skips the base solve (stable-vertex seeding). The values must be
-// the exact converged solution for this engine's algorithm, source, and
-// CommonGraph content — callers establish that by Fingerprint equality,
-// which makes the seed bit-identical to what the skipped solve would have
-// produced. Must precede Run; single-source engines only.
-func (m *Multi) SeedBase(base []float64) error {
-	if m.ran {
-		return megaerr.Invalidf("engine: SeedBase after Run")
-	}
-	if len(m.srcs) > 1 {
-		return megaerr.Invalidf("engine: SeedBase on a multi-source engine")
-	}
-	if len(base) != m.w.NumVertices() {
-		return megaerr.Invalidf("engine: SeedBase length %d, window has %d vertices", len(base), m.w.NumVertices())
-	}
-	m.baseVals = append([]float64(nil), base...)
-	return nil
-}
-
-// expandSchedule replicates a schedule once per source: bookkeeping ops
-// are cloned per source with remapped contexts, a non-shared apply
-// becomes ONE op targeting every source's contexts (single batch read,
-// shared fetches), and shared-compute applies stay per-source because
-// each broadcast replays only its own group's computation. Stage indices
-// are preserved, so the stage loop merges the clones exactly as it merges
-// the originals.
-func expandSchedule(s *sched.Schedule, k int) *sched.Schedule {
-	nc := s.NumContexts
-	out := &sched.Schedule{
-		Mode:        s.Mode,
-		NumContexts: nc * k,
-		SnapshotCtx: append([]int(nil), s.SnapshotCtx...),
-		Ops:         make([]sched.Op, 0, len(s.Ops)*k),
-	}
-	for _, op := range s.Ops {
-		switch {
-		case op.Kind == sched.OpApply && !op.SharedCompute:
-			c := op
-			ts := make([]int, 0, len(op.Targets)*k)
-			for i := 0; i < k; i++ {
-				for _, t := range op.Targets {
-					ts = append(ts, i*nc+t)
-				}
-			}
-			c.Targets = ts
-			out.Ops = append(out.Ops, c)
-		case op.Kind == sched.OpApply:
-			for i := 0; i < k; i++ {
-				c := op
-				ts := make([]int, len(op.Targets))
-				for j, t := range op.Targets {
-					ts[j] = i*nc + t
-				}
-				c.Targets = ts
-				out.Ops = append(out.Ops, c)
-			}
-		default: // OpInit, OpCopy
-			for i := 0; i < k; i++ {
-				c := op
-				c.Ctx = i*nc + op.Ctx
-				if op.Kind == sched.OpCopy {
-					c.From = i*nc + op.From
-				}
-				out.Ops = append(out.Ops, c)
-			}
-		}
-	}
-	return out
-}
-
 // countPush records one queue push attempt: ok means the event landed in a
 // new slot, !ok that it coalesced into an occupied one. Returns ok so push
 // sites stay one-line.
@@ -526,17 +411,9 @@ func (m *Multi) RecordMetrics(reg *metrics.Registry) {
 // Window.BatchOf). Do not modify.
 func (m *Multi) BatchOf() []int32 { return m.batchOf }
 
-// BaseValues returns the query solution on the CommonGraph, computing it
-// on first use. The returned slice must not be modified.
-func (m *Multi) BaseValues() []float64 {
-	if m.baseVals == nil {
-		m.baseVals = Solve(m.w.CommonCSR(), m.a, m.src, NopProbe{})
-	}
-	return m.baseVals
-}
-
-// ensureBase is BaseValues under the run's lifecycle: the CommonGraph
-// solve honours cancellation and the divergence watchdog.
+// ensureBase resolves the query solution on the CommonGraph, solving it on
+// first use under the run's lifecycle: the solve honours cancellation and
+// the divergence watchdog.
 func (m *Multi) ensureBase() ([]float64, error) {
 	if m.baseVals == nil {
 		base, err := SolveContext(m.ctx, m.w.CommonCSR(), m.a, m.src, NopProbe{}, m.limits)
@@ -546,26 +423,6 @@ func (m *Multi) ensureBase() ([]float64, error) {
 		m.baseVals = base
 	}
 	return m.baseVals, nil
-}
-
-// ensureBaseFor resolves source index k's CommonGraph solution (k derives
-// from the global context an OpInit targets). Index 0 is the classic
-// single-source base.
-func (m *Multi) ensureBaseFor(k int) ([]float64, error) {
-	if k == 0 {
-		return m.ensureBase()
-	}
-	if m.basePer == nil {
-		m.basePer = make([][]float64, len(m.srcs))
-	}
-	if m.basePer[k] == nil {
-		base, err := SolveContext(m.ctx, m.w.CommonCSR(), m.a, m.srcs[k], NopProbe{}, m.limits)
-		if err != nil {
-			return nil, err
-		}
-		m.basePer[k] = base
-	}
-	return m.basePer[k], nil
 }
 
 // Run executes the schedule. Afterwards Values/SnapshotValues expose the
@@ -584,16 +441,6 @@ func (m *Multi) RunContext(ctx context.Context, s *sched.Schedule, lim Limits) e
 		return megaerr.Invalidf("engine: Run called twice")
 	}
 	m.ran = true
-	m.nc = s.NumContexts
-	if len(m.srcs) > 1 {
-		if m.resume != nil {
-			return megaerr.Invalidf("engine: multi-source runs do not resume")
-		}
-		if m.ckptEvery > 0 {
-			return megaerr.Invalidf("engine: multi-source runs do not checkpoint")
-		}
-		s = expandSchedule(s, len(m.srcs))
-	}
 	m.ctx = ctx
 	m.fp = fault.From(ctx)
 	m.limits = lim.withDefaults(m.w.NumVertices(), s.NumContexts)
@@ -740,23 +587,6 @@ func (m *Multi) SnapshotValues(s *sched.Schedule, snap int) []float64 {
 	return m.Values(s.SnapshotCtx[snap])
 }
 
-// SnapshotValuesFor is SnapshotValues for source index srcIdx of a
-// multi-source run. s is the ORIGINAL (unexpanded) schedule the caller
-// passed to Run; srcIdx 0 matches the single-source accessor.
-func (m *Multi) SnapshotValuesFor(s *sched.Schedule, srcIdx, snap int) []float64 {
-	if snap < 0 || snap >= len(s.SnapshotCtx) || srcIdx < 0 {
-		return nil
-	}
-	n := len(m.srcs)
-	if n == 0 {
-		n = 1
-	}
-	if srcIdx >= n {
-		return nil
-	}
-	return m.Values(srcIdx*m.nc + s.SnapshotCtx[snap])
-}
-
 // runBooks executes a stage's bookkeeping ops (init/copy). Validation, the
 // applied sets and the probe callbacks go op by op; the values move in one
 // pass over the rows with every op applied to a row in order, which is the
@@ -775,11 +605,7 @@ func (m *Multi) runBooks(books []sched.Op) error {
 			if op.Ctx >= nc {
 				return megaerr.Invalidf("engine: OpInit context %d out of range", op.Ctx)
 			}
-			srcIdx := 0
-			if len(m.srcs) > 1 {
-				srcIdx = op.Ctx / m.nc
-			}
-			base, err := m.ensureBaseFor(srcIdx)
+			base, err := m.ensureBase()
 			if err != nil {
 				return err
 			}

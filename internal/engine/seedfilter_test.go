@@ -56,25 +56,18 @@ func hubOf(ev *gen.Evolution) graph.VertexID {
 // generation-filtered; a probed run must never move it.
 const smokeProbedEvents = 28_217
 
-// runMulti runs one engine over srcs (one source: NewMulti) and
-// returns the per-source snapshots and the engine.
-func runMulti(t *testing.T, w *evolve.Window, a algo.Algorithm, s *sched.Schedule, srcs []graph.VertexID, probe Probe) ([][][]float64, *Multi) {
+// runMulti runs one engine from src and returns its snapshots and the
+// engine.
+func runMulti(t *testing.T, w *evolve.Window, a algo.Algorithm, s *sched.Schedule, src graph.VertexID, probe Probe) ([][]float64, *Multi) {
 	t.Helper()
-	m, err := NewMultiSource(w, a, srcs, probe)
+	m, err := NewMulti(w, a, src, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(s); err != nil {
 		t.Fatal(err)
 	}
-	out := make([][][]float64, len(srcs))
-	for k := range srcs {
-		out[k] = make([][]float64, w.NumSnapshots())
-		for snap := range out[k] {
-			out[k][snap] = m.SnapshotValuesFor(s, k, snap)
-		}
-	}
-	return out, m
+	return collectSnapshots(m, s, w.NumSnapshots()), m
 }
 
 // midRunCheckpoint kills a run of the engine mk builds with a transient
@@ -129,9 +122,9 @@ func (ssspKind) Kind() algo.Kind { return algo.SSSP }
 // seeds filtered at generation) changes no result and no priced count
 // against the instrumented loop (interface ops, the hardware's seed loop).
 // Over generated windows, all six algorithms (CC seeds every vertex
-// itself), the three schedule modes and single- and multi-source runs — on
-// the 16-snapshot smoke window with five sources, so every mode's rows span
-// more than one mask word — a NopProbe run, a Stats-probed run and a
+// itself) and the three schedule modes — among them Work-Sharing on a
+// 33-snapshot window, whose 65 contexts make every row span more than one
+// mask word — a NopProbe run, a Stats-probed run and a
 // NopProbe run of the same algorithm behind a wrapper type return
 // Float64bits-identical snapshots; the filter only ever removes events, and
 // the two instrumented runs process the same ones; and the probed count on
@@ -154,39 +147,35 @@ func TestSeedFilterEquivalence(t *testing.T) {
 		wins[i] = win{w, graph.VertexID(r.Intn(w.NumVertices()))}
 	}
 	smoke, hub := smokeWindow(t)
-	wins = append(wins, win{smoke, hub})
+	wide := testMultiWindow(t, 33, 1402)
+	wins = append(wins, win{smoke, hub}, win{wide, 0})
 
 	kinds := append(append([]algo.Kind{}, algo.All...), algo.CC)
 	for wi, wn := range wins {
 		w := wn.w
-		n := w.NumVertices()
-		srcs := []graph.VertexID{wn.src, graph.VertexID((int(wn.src) + 1) % n), graph.VertexID((int(wn.src) + 2) % n)}
-		if w == smoke {
-			srcs = append(srcs, graph.VertexID((int(wn.src)+3)%n), graph.VertexID((int(wn.src)+4)%n))
-		}
 		for _, mode := range []sched.Mode{sched.DirectHop, sched.WorkSharing, sched.BOE} {
 			s, err := sched.New(mode, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w == smoke && s.NumContexts*len(srcs) <= 64 {
-				t.Fatalf("smoke %v: %d contexts x %d sources fit one mask word", mode, s.NumContexts, len(srcs))
+			if w == wide && mode == sched.WorkSharing && s.NumContexts <= 64 {
+				t.Fatalf("wide %v: %d contexts fit one mask word", mode, s.NumContexts)
 			}
 			for _, k := range kinds {
 				a := algo.New(k)
 				label := func(what string) string {
 					return fmt.Sprintf("window %d %v %v %s", wi, mode, k, what)
 				}
-				plain, eng := runMulti(t, w, a, s, srcs[:1], nil)
+				plain, eng := runMulti(t, w, a, s, wn.src, nil)
 				var st Stats
-				probed, _ := runMulti(t, w, a, s, srcs[:1], &st)
-				sameBits(t, label("probed"), probed[0], plain[0])
+				probed, _ := runMulti(t, w, a, s, wn.src, &st)
+				sameBits(t, label("probed"), probed, plain)
 				if _, _, taken := eng.QueueCounters(); taken > st.Events {
 					t.Fatalf("%s: unprobed run took %d events, probed run %d — the filter may only remove events",
 						label("events"), taken, st.Events)
 				}
-				wrapped, wrappedEng := runMulti(t, w, disguise(a), s, srcs[:1], nil)
-				sameBits(t, label("wrapped"), wrapped[0], plain[0])
+				wrapped, wrappedEng := runMulti(t, w, disguise(a), s, wn.src, nil)
+				sameBits(t, label("wrapped"), wrapped, plain)
 				if _, _, taken := wrappedEng.QueueCounters(); taken != st.Events {
 					t.Fatalf("%s: unprobed run of a wrapped algorithm took %d events, the probed run %d — both are the instrumented loop",
 						label("events"), taken, st.Events)
@@ -200,11 +189,11 @@ func TestSeedFilterEquivalence(t *testing.T) {
 					mk   func() *Multi
 				}{
 					{"served", func() *Multi {
-						m, _ := NewMulti(w, a, srcs[0], nil)
+						m, _ := NewMulti(w, a, wn.src, nil)
 						return m
 					}},
 					{"instrumented", func() *Multi {
-						m, _ := NewMulti(w, a, srcs[0], &Stats{})
+						m, _ := NewMulti(w, a, wn.src, &Stats{})
 						return m
 					}},
 				}
@@ -221,22 +210,11 @@ func TestSeedFilterEquivalence(t *testing.T) {
 						if err := eng.RunContext(context.Background(), s, Limits{}); err != nil {
 							t.Fatalf("%s: resumed run: %v", label(victim.name+" to "+heir.name), err)
 						}
-						sameBits(t, label(victim.name+" to "+heir.name), collectSnapshots(eng, s, w.NumSnapshots()), plain[0])
+						sameBits(t, label(victim.name+" to "+heir.name), collectSnapshots(eng, s, w.NumSnapshots()), plain)
 					}
 				}
 				if w == smoke && mode == sched.BOE && k == algo.SSSP && st.Events != smokeProbedEvents {
 					t.Fatalf("%s: Stats.Events = %d, want the pinned %d", label("probed"), st.Events, smokeProbedEvents)
-				}
-
-				multi, _ := runMulti(t, w, a, s, srcs, nil)
-				multiProbed, _ := runMulti(t, w, a, s, srcs, &Stats{})
-				sameBits(t, label("multi-source[0]"), multi[0], plain[0])
-				for i := range srcs {
-					sameBits(t, label("multi-source probed"), multiProbed[i], multi[i])
-				}
-				for i := 1; i < len(srcs); i++ {
-					single, _ := runMulti(t, w, a, s, srcs[i:i+1], &Stats{})
-					sameBits(t, label("multi-source vs single"), multi[i], single[0])
 				}
 			}
 		}

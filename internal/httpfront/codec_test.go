@@ -170,7 +170,7 @@ func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 	reports := []Report{
 		{},
 		{Engine: "cache", Cache: "hit", Attempts: 0, QueueWait: Duration(61 * time.Microsecond)},
-		{Engine: `mul"ti<`, Seeded: true, Sources: 3, Attempts: 2,
+		{Engine: `mul"ti<`, Attempts: 2,
 			Resumed: true, QueueWait: Duration(time.Second), RunTime: Duration(3 * time.Millisecond)},
 	}
 	rng := rand.New(rand.NewSource(13))

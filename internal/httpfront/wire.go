@@ -137,15 +137,10 @@ type QuerySpec struct {
 // Report mirrors serve.Report on the wire.
 type Report struct {
 	Engine string `json:"engine"`
-	// Cache is the sharing layer's involvement: "hit", "coalesced",
-	// "batched", or absent for a normal solo run.
-	Cache string `json:"cache,omitempty"`
-	// Seeded marks a run initialized from cached converged values.
-	Seeded bool `json:"seeded,omitempty"`
-	// Sources is how many distinct sources the answering engine run
-	// served (absent for solo runs and cache hits).
-	Sources  int `json:"sources,omitempty"`
-	Attempts int `json:"attempts"`
+	// Cache is the sharing layer's involvement: "hit", "coalesced", or
+	// absent for the query's own engine run.
+	Cache    string `json:"cache,omitempty"`
+	Attempts int    `json:"attempts"`
 	// Resumed marks a query that picked up a durable checkpoint a
 	// previous process left behind instead of recomputing from scratch.
 	Resumed   bool     `json:"resumed,omitempty"`
@@ -157,8 +152,6 @@ func reportFromServe(r serve.Report) Report {
 	return Report{
 		Engine:    r.Engine,
 		Cache:     r.Cache,
-		Seeded:    r.Seeded,
-		Sources:   r.Sources,
 		Attempts:  r.Attempts,
 		Resumed:   r.Resumed,
 		QueueWait: Duration(r.QueueWait),

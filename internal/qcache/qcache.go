@@ -8,15 +8,8 @@
 // a window rebuilt from the same evolution hits the same entries.
 // Windows are immutable after construction, which gives the cache its
 // defining property — a hit returns Float64bits-identical snapshots with
-// no invalidation protocol beyond byte-budget eviction.
-//
-// Beyond exact hits, the cache powers stable-vertex seeding ("Analysis
-// of Stable Vertex Values", Afarin et al., arXiv 2502.10579): each entry
-// retains the run's converged CommonGraph solution, and Seed hands it to
-// a new query over a *different* window whose fingerprint proves the
-// same CommonGraph content, letting the engine skip its base solve while
-// staying bit-identical (the skipped solve is deterministic in its
-// inputs, and equal digests mean equal inputs).
+// no invalidation protocol beyond byte-budget eviction. An entry holds
+// the result's snapshots and nothing else: only exact hits are served.
 //
 // Accounting is a checked invariant: hits + misses == lookups, resident
 // bytes equal the sum of entry sizes and never exceed the global or any
@@ -68,7 +61,6 @@ type entry struct {
 	fp     engine.Fingerprint
 	tenant string
 	vals   [][]float64
-	base   []float64 // converged CommonGraph solution (may be nil)
 	bytes  int64
 	elem   *list.Element
 }
@@ -90,11 +82,9 @@ type Cache struct {
 	lookups, hits, misses    uint64
 	inserts, updates         uint64
 	evictions, rejected      uint64
-	seedHits, seedMisses     uint64
 	invalidated              uint64
 	cLookups, cHits, cMisses *metrics.Counter
 	cInserts, cEvictions     *metrics.Counter
-	cSeedHits                *metrics.Counter
 	gBytes, gEntries         *metrics.Gauge
 }
 
@@ -126,14 +116,13 @@ func New(cfg Config) (*Cache, error) {
 		cMisses:    reg.Counter("qcache_misses"),
 		cInserts:   reg.Counter("qcache_inserts"),
 		cEvictions: reg.Counter("qcache_evictions"),
-		cSeedHits:  reg.Counter("qcache_seed_hits"),
 		gBytes:     reg.Gauge("qcache_bytes"),
 		gEntries:   reg.Gauge("qcache_entries"),
 	}, nil
 }
 
 // Fingerprint resolves (memoizing per window identity) w's BOE
-// fingerprint for keying and seeding.
+// fingerprint for keying.
 func (c *Cache) Fingerprint(w *evolve.Window) (engine.Fingerprint, error) {
 	if fp, ok := c.fps.Load(w); ok {
 		return fp.(engine.Fingerprint), nil
@@ -152,9 +141,9 @@ func KeyFor(fp engine.Fingerprint, algoKind uint32, source uint32) Key {
 }
 
 // resultBytes sizes a result for budget accounting: the float64 payload
-// of every snapshot plus the retained base solution.
-func resultBytes(vals [][]float64, base []float64) int64 {
-	n := int64(len(base))
+// of every snapshot.
+func resultBytes(vals [][]float64) int64 {
+	var n int64
 	for _, snap := range vals {
 		n += int64(len(snap))
 	}
@@ -197,18 +186,18 @@ func (c *Cache) Lookup(key Key, fp engine.Fingerprint) ([][]float64, bool) {
 	return copyVals(vals), true
 }
 
-// Insert stores a deep copy of vals (and the run's converged base
-// solution) under key, attributed to tenant's budget. It evicts LRU
-// entries — the tenant's own first when its budget is exceeded, then
-// globally — and reports whether the result became resident (oversize
-// results are rejected, not partially stored). Re-inserting an existing
-// key refreshes the entry in place.
-func (c *Cache) Insert(key Key, fp engine.Fingerprint, tenant string, vals [][]float64, base []float64) bool {
-	size := resultBytes(vals, base)
+// Insert stores a deep copy of vals under key, attributed to tenant's
+// budget. It evicts LRU entries — the tenant's own first when its budget
+// is exceeded, then globally — and reports whether the result became
+// resident (oversize results are rejected, not partially stored).
+// Re-inserting an existing key refreshes the entry in place.
+// The fifth parameter is ignored; kept for the frozen harness (benchmark/), removed by ROADMAP item 1.
+func (c *Cache) Insert(key Key, fp engine.Fingerprint, tenant string, vals [][]float64, _ []float64) bool {
+	size := resultBytes(vals)
 	budget := c.tenantBudget(tenant) // configuration, fixed at New
 	oversize := size > c.cfg.MaxBytes || (budget > 0 && size > budget)
 	if !oversize {
-		vals, base = copyVals(vals), append([]float64(nil), base...)
+		vals = copyVals(vals)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,7 +232,6 @@ func (c *Cache) Insert(key Key, fp engine.Fingerprint, tenant string, vals [][]f
 		fp:     fp,
 		tenant: tenant,
 		vals:   vals,
-		base:   base,
 		bytes:  size,
 	}
 	e.elem = c.lru.PushFront(e)
@@ -295,61 +283,6 @@ func (c *Cache) removeLocked(e *entry) {
 	c.gEntries.Set(int64(len(c.entries)))
 }
 
-// Seed returns a deep copy of a cached converged CommonGraph solution
-// usable to initialize a fresh (algo, source) query over a window with
-// fingerprint fp, or nil when no entry qualifies. Soundness: a donor
-// qualifies only with an equal Common digest (identical CommonGraph
-// content ⇒ the deterministic base solve it skipped would have produced
-// exactly these bits) and a non-empty shared batch-digest prefix or
-// equal batch list (the windows genuinely overlap, so the reuse is the
-// paper's stable-vertex case, not a coincidence of intersection).
-func (c *Cache) Seed(fp engine.Fingerprint, algoKind uint32, source uint32) []float64 {
-	return append([]float64(nil), c.seedDonor(fp, algoKind, source)...)
-}
-
-// seedDonor finds Seed's donor entry and returns its base, shared.
-func (c *Cache) seedDonor(fp engine.Fingerprint, algoKind uint32, source uint32) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if e.key.Algo != algoKind || e.key.Source != source || len(e.base) == 0 {
-			continue
-		}
-		if e.fp.Common != fp.Common {
-			continue
-		}
-		if e.fp.SharedPrefix(fp) == 0 && len(fp.Batches) > 0 && len(e.fp.Batches) > 0 {
-			continue
-		}
-		c.seedHits++
-		c.cSeedHits.Inc()
-		return e.base
-	}
-	c.seedMisses++
-	return nil
-}
-
-// Invalidate drops every entry whose window fingerprint equals fp,
-// returning how many were dropped. (Windows are immutable, so this is
-// for operators retiring a dataset, not a consistency requirement.)
-func (c *Cache) Invalidate(fp engine.Fingerprint) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.entries {
-		if e.fp.Equal(fp) {
-			c.removeLocked(e)
-			c.invalidated++
-			n++
-		}
-	}
-	return n
-}
-
 // Stats is a point-in-time accounting snapshot.
 type Stats struct {
 	// Entries and Bytes are the live residency; MaxBytes echoes the
@@ -362,9 +295,7 @@ type Stats struct {
 	// Inserts counts results that became resident; Rejected counts
 	// oversize or unplaceable results; Evictions counts LRU removals.
 	Inserts, Rejected, Evictions uint64
-	// SeedHits counts queries initialized from a cached base solution.
-	SeedHits uint64
-	// Invalidated counts entries dropped by Invalidate or Close.
+	// Invalidated counts entries dropped by Close.
 	Invalidated uint64
 }
 
@@ -386,7 +317,6 @@ func (c *Cache) statsLocked() Stats {
 		Inserts:     c.inserts,
 		Rejected:    c.rejected,
 		Evictions:   c.evictions,
-		SeedHits:    c.seedHits,
 		Invalidated: c.invalidated,
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"mega/internal/megaerr"
 )
 
-// fpN builds a synthetic fingerprint for key/seed tests. The cache treats
+// fpN builds a synthetic fingerprint for key tests. The cache treats
 // fingerprints as opaque content digests, so crafted ones exercise the
 // same paths as real windows at a fraction of the setup cost.
 func fpN(schedule, common uint64, batches ...uint64) engine.Fingerprint {
@@ -46,6 +46,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{MaxBytes: 1, TenantBytes: map[string]int64{"a": -1}}); err == nil || !isInvalid(err) {
 		t.Errorf("New with negative tenant budget = %v, want ErrInvalidInput", err)
+	}
+	// A tenant budget of exactly 0 is valid and means uncapped.
+	c, err := New(Config{MaxBytes: 64, TenantBytes: map[string]int64{"a": 0}})
+	if err != nil {
+		t.Fatalf("New with a zero tenant budget = %v, want success", err)
+	}
+	if !c.Insert(Key{Win: 1}, fpN(1, 1), "a", valsOf(8, 1), nil) {
+		t.Error("a zero tenant budget capped the tenant")
 	}
 }
 
@@ -97,13 +105,13 @@ func TestLookupReturnsIsolatedCopy(t *testing.T) {
 
 // TestConcurrentLookupInsertEvict hammers one key from every side at once:
 // writers re-insert it with a new fill each time, an evictor pushes it out
-// of a two-entry budget, readers look it up and seed from it. The copies
+// of a two-entry budget, readers look it up. The copies
 // are taken outside the cache's mutex, so under -race this is the proof
 // that nothing writes an entry's arrays after insertion; a result mixing
 // two fills would be a torn copy; and the books must still balance.
 func TestConcurrentLookupInsertEvict(t *testing.T) {
 	const n = 512
-	c := newCache(t, Config{MaxBytes: 2 * 2 * 8 * n}) // two entries of values + base
+	c := newCache(t, Config{MaxBytes: 2 * 8 * n}) // two entries
 	key, fp := Key{Win: 1, Algo: 2, Source: 3}, fpN(1, 1, 1)
 	uniform := func(what string, vals []float64) {
 		for _, x := range vals {
@@ -120,7 +128,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				fill := valsOf(n, float64(g*1000+i))
-				c.Insert(key, fp, "", fill, fill[0])
+				c.Insert(key, fp, "", fill, nil)
 				fill[0][0] = -1 // the caller's arrays stay the caller's
 			}
 		}(g)
@@ -128,7 +136,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				other := Key{Win: uint64(100 + g*1000 + i)}
-				c.Insert(other, fpN(uint64(other.Win), 9), "", valsOf(n, 0), make([]float64, n))
+				c.Insert(other, fpN(uint64(other.Win), 9), "", valsOf(n, 0), nil)
 			}
 		}(g)
 		go func() { // reader
@@ -137,9 +145,6 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 				if vals, ok := c.Lookup(key, fp); ok {
 					uniform("Lookup", vals[0])
 					vals[0][0] = -2
-				}
-				if base := c.Seed(fp, key.Algo, key.Source); base != nil {
-					uniform("Seed", base)
 				}
 			}
 		}()
@@ -240,69 +245,12 @@ func TestOversizeResultRejected(t *testing.T) {
 	if st := c.Stats(); st.Rejected != 1 || st.Entries != 0 {
 		t.Errorf("stats = %+v, want 1 rejection, nothing resident", st)
 	}
-}
-
-// TestSeedMatching pins the seeding soundness gate: a donor qualifies
-// only with the same algorithm and source, an equal CommonGraph digest,
-// and a genuinely overlapping batch history.
-func TestSeedMatching(t *testing.T) {
-	c := newCache(t, Config{MaxBytes: 1 << 20})
-	base := []float64{1, 2, 3}
-	donor := fpN(1, 777, 10, 20)
-	c.Insert(Key{Win: donor.Key(), Algo: 5, Source: 9}, donor, "", valsOf(4, 1), base)
-
-	// Overlapping window: same Common digest, shared one-batch prefix.
-	got := c.Seed(fpN(1, 777, 10, 99), 5, 9)
-	if got == nil || got[1] != 2 {
-		t.Fatalf("Seed over an overlapping window = %v, want the donor base", got)
+	// A result of exactly MaxBytes fits.
+	if !c.Insert(Key{Win: 2}, fpN(2, 2), "", valsOf(8, 1), nil) {
+		t.Fatal("64-byte result refused by a 64-byte cache")
 	}
-	got[0] = -1
-	if again := c.Seed(fpN(1, 777, 10, 99), 5, 9); again[0] != 1 {
-		t.Fatal("mutating a seed corrupted the resident base")
-	}
-
-	if c.Seed(fpN(1, 778, 10, 20), 5, 9) != nil {
-		t.Error("Seed matched across different CommonGraph digests")
-	}
-	if c.Seed(fpN(1, 777, 10, 20), 5, 8) != nil {
-		t.Error("Seed matched across different sources")
-	}
-	if c.Seed(fpN(1, 777, 10, 20), 6, 9) != nil {
-		t.Error("Seed matched across different algorithms")
-	}
-	if c.Seed(fpN(1, 777, 99, 98), 5, 9) != nil {
-		t.Error("Seed matched windows with no shared batch prefix")
-	}
-	if st := c.Stats(); st.SeedHits != 2 {
-		t.Errorf("SeedHits = %d, want 2", st.SeedHits)
-	}
-}
-
-func TestSeedIgnoresBaselessEntries(t *testing.T) {
-	c := newCache(t, Config{MaxBytes: 1 << 20})
-	fp := fpN(1, 5, 1)
-	c.Insert(Key{Win: fp.Key(), Algo: 1, Source: 1}, fp, "", valsOf(2, 1), nil)
-	if c.Seed(fpN(1, 5, 1, 2), 1, 1) != nil {
-		t.Error("Seed returned material from an entry with no retained base")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := newCache(t, Config{MaxBytes: 1 << 20})
-	fp := fpN(3, 4, 5)
-	other := fpN(9, 9)
-	c.Insert(Key{Win: fp.Key(), Algo: 1}, fp, "", valsOf(2, 1), nil)
-	c.Insert(Key{Win: fp.Key(), Algo: 2}, fp, "", valsOf(2, 1), nil)
-	c.Insert(Key{Win: other.Key()}, other, "", valsOf(2, 1), nil)
-	if n := c.Invalidate(fp); n != 2 {
-		t.Fatalf("Invalidate = %d, want 2", n)
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Invalidated != 2 {
-		t.Errorf("stats = %+v, want 1 survivor, 2 invalidated", st)
-	}
-	if a := c.Audit(); !a.OK {
-		t.Errorf("audit failed: %s", a.Detail)
+	if st := c.Stats(); st.Rejected != 1 || st.Entries != 1 || st.Bytes != 64 {
+		t.Errorf("stats = %+v, want the 64-byte entry resident", st)
 	}
 }
 
@@ -313,7 +261,7 @@ func TestCloseInvalidatesAndAudits(t *testing.T) {
 	c := newCache(t, Config{MaxBytes: 1 << 20})
 	fp := fpN(1, 2, 3)
 	key := Key{Win: fp.Key()}
-	c.Insert(key, fp, "t", valsOf(4, 1), []float64{9})
+	c.Insert(key, fp, "t", valsOf(4, 1), nil)
 	audit := c.Close()
 	if !audit.OK {
 		t.Fatalf("Close audit failed: %s", audit.Detail)
@@ -330,9 +278,6 @@ func TestCloseInvalidatesAndAudits(t *testing.T) {
 	}
 	if c.Insert(key, fp, "t", valsOf(4, 1), nil) {
 		t.Error("closed cache accepted an insert")
-	}
-	if c.Seed(fp, 0, 0) != nil {
-		t.Error("closed cache donated a seed")
 	}
 	if again := c.Close(); !again.OK {
 		t.Errorf("second Close audit failed: %s", again.Detail)

@@ -127,12 +127,6 @@ type Request struct {
 	QueueTimeout time.Duration
 	// Label tags the request in reports; the service does not interpret it.
 	Label string
-	// SeedBase, when non-nil, initializes the evaluation's CommonGraph
-	// solution from these converged values instead of solving from scratch
-	// (stable-vertex seeding). The sharing layer fills this from the cache;
-	// callers normally leave it nil. Soundness requires the values to be
-	// the exact converged solution of the request's own CommonGraph.
-	SeedBase []float64
 }
 
 // RunReport is what a RunFunc tells the service about one evaluation.
@@ -143,10 +137,6 @@ type RunReport struct {
 	// checkpoint from the durable store — the query picked up work a
 	// previous process (or a previous failed query) left behind.
 	Resumed bool
-	// Base, when non-nil, is the run's converged CommonGraph solution.
-	// The sharing layer caches it as stable-vertex seeding material for
-	// future overlapping queries.
-	Base []float64
 }
 
 // RunFunc evaluates one query. Implementations must honor ctx and return
@@ -156,21 +146,13 @@ type RunFunc func(ctx context.Context, req *Request) ([][]float64, RunReport, er
 
 // Report describes how the service executed one admitted query.
 type Report struct {
-	// Engine is what produced the result: "sequential" (a solo engine
-	// run), "multi" (a batched multi-source run), or "cache" (no engine
-	// ran).
+	// Engine is what produced the result: "sequential" (an engine run) or
+	// "cache" (no engine ran).
 	Engine string
-	// Cache describes the sharing layer's involvement: "" (a normal solo
-	// run), "hit" (served from the result cache), "coalesced" (attached to
-	// an identical in-flight query), or "batched" (folded into a
-	// multi-source run with other sources).
+	// Cache describes the sharing layer's involvement: "" (the query's own
+	// engine run), "hit" (served from the result cache), or "coalesced"
+	// (attached to an identical in-flight query).
 	Cache string
-	// Seeded is true when the run was initialized from a cached converged
-	// CommonGraph solution instead of solving from scratch.
-	Seeded bool
-	// Sources is how many distinct sources the answering engine run
-	// served (0 for solo runs and cache hits, >= 1 for flights).
-	Sources int
 	// Attempts and Resumed come from the evaluation's RunReport; Resumed
 	// marks a durable-checkpoint resume.
 	Attempts int
@@ -216,12 +198,8 @@ type Config struct {
 	Metrics *metrics.Registry
 	// CacheBytes, when > 0, enables the cross-query sharing layer with a
 	// result cache bounded to this many resident value bytes. Zero
-	// disables caching, coalescing, batching, and seeding entirely.
+	// disables caching and coalescing entirely.
 	CacheBytes int64
-	// RunMulti, when non-nil (and CacheBytes > 0), evaluates a batch of
-	// concurrent same-window same-algo different-source queries as one
-	// multi-source engine run. Nil disables multi-source batching only.
-	RunMulti RunMultiFunc
 	// Store, when non-nil, is the durable checkpoint store the RunFunc
 	// spools into. The service takes ownership: Close closes the store
 	// (joining its ckptstore.accounting audit under strict mode), Stats
@@ -262,8 +240,7 @@ type Service struct {
 	queuedTotal int // waiters across every tenant queue; bounded by QueueDepth
 	tenants     map[string]*tenantState
 	flights     map[flightKey]*flight
-	gathering   map[gatherKey]*flight // the still-gathering flight per (window, algo), open to new sources
-	vnow        uint64                // weighted-fair virtual clock (see chargeGrantLocked)
+	vnow        uint64 // weighted-fair virtual clock (see chargeGrantLocked)
 	seq         uint64
 	active      map[*waiter]context.CancelFunc
 	drained     chan struct{}
@@ -275,14 +252,12 @@ type Service struct {
 	// tenant in each tenantState.
 	admitted, completed, failed, canceled uint64
 	rejected, shed, deadlineExceeded      uint64
-	cacheHits, coalesced, batched         uint64
-	seeded, engineRuns                    uint64
+	cacheHits, coalesced, engineRuns      uint64
 
 	mQueued, mRunning, mDraining           *metrics.Gauge
 	cAdmitted, cRejected, cShed, cDeadline *metrics.Counter
 	cCompleted, cFailed, cCanceled         *metrics.Counter
-	cCacheHits, cCoalesced, cBatched       *metrics.Counter
-	cSeeded, cEngineRuns                   *metrics.Counter
+	cCacheHits, cCoalesced, cEngineRuns    *metrics.Counter
 	hQueueWait, hRunTime                   *metrics.Histogram
 }
 
@@ -327,16 +302,15 @@ func New(cfg Config) (*Service, error) {
 		reg = metrics.New() // private registry: instruments always resolvable
 	}
 	s := &Service{
-		run:       cfg.Run,
-		cfg:       cfg,
-		reg:       reg,
-		strict:    metrics.Strict(),
-		now:       time.Now,
-		store:     cfg.Store,
-		active:    make(map[*waiter]context.CancelFunc),
-		tenants:   make(map[string]*tenantState),
-		flights:   make(map[flightKey]*flight),
-		gathering: make(map[gatherKey]*flight),
+		run:     cfg.Run,
+		cfg:     cfg,
+		reg:     reg,
+		strict:  metrics.Strict(),
+		now:     time.Now,
+		store:   cfg.Store,
+		active:  make(map[*waiter]context.CancelFunc),
+		tenants: make(map[string]*tenantState),
+		flights: make(map[flightKey]*flight),
 
 		mQueued:     reg.Gauge("serve_queued"),
 		mRunning:    reg.Gauge("serve_running"),
@@ -350,8 +324,6 @@ func New(cfg Config) (*Service, error) {
 		cCanceled:   reg.Counter("serve_queries", "state", "canceled"),
 		cCacheHits:  reg.Counter("serve_cache_hits"),
 		cCoalesced:  reg.Counter("serve_coalesced"),
-		cBatched:    reg.Counter("serve_batched"),
-		cSeeded:     reg.Counter("serve_seeded"),
 		cEngineRuns: reg.Counter("serve_engine_runs"),
 		hQueueWait:  reg.Histogram("serve_queue_wait_nanos"),
 		hRunTime:    reg.Histogram("serve_run_nanos"),
@@ -983,7 +955,7 @@ func uint64ToU32Cap(n int) uint32 {
 	if n < 0 {
 		return 0
 	}
-	if n > int(^uint32(0)) {
+	if uint64(n) > uint64(^uint32(0)) {
 		return ^uint32(0)
 	}
 	return uint32(n)
@@ -1025,10 +997,10 @@ type Stats struct {
 	DeadlineExceeded uint64
 	// CacheHits counts queries answered from the result cache with no
 	// engine involvement; CoalescedQueries attached to an identical
-	// in-flight run; BatchedQueries folded into a multi-source run;
-	// SeededQueries initialized from a cached converged base solution.
-	// All are zero when the sharing layer is disabled.
-	CacheHits, CoalescedQueries, BatchedQueries, SeededQueries uint64
+	// in-flight run. Both are zero when the sharing layer is disabled.
+	CacheHits, CoalescedQueries uint64
+	// BatchedQueries is always 0; kept for the frozen harness (benchmark/), removed by ROADMAP item 1.
+	BatchedQueries uint64
 	// EngineRuns counts real engine runs; admitted minus the sharing
 	// counters above should track it.
 	EngineRuns uint64
@@ -1053,8 +1025,7 @@ func (s *Service) Stats() Stats {
 		RunP50:   time.Duration(s.hRunTime.Quantile(0.5)),
 		Admitted: s.admitted, Completed: s.completed, Failed: s.failed, Canceled: s.canceled,
 		Rejected: s.rejected, Shed: s.shed, DeadlineExceeded: s.deadlineExceeded,
-		CacheHits: s.cacheHits, CoalescedQueries: s.coalesced, BatchedQueries: s.batched,
-		SeededQueries: s.seeded, EngineRuns: s.engineRuns,
+		CacheHits: s.cacheHits, CoalescedQueries: s.coalesced, EngineRuns: s.engineRuns,
 		Tenants: s.tenantStatsLocked(),
 	}
 	if s.qc != nil {

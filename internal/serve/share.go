@@ -8,13 +8,13 @@ package serve
 //	     │ miss
 //	join flight ── follower ─▶ wait for the flight's resolution
 //	     │ lead
-//	admit + await slot ─▶ seal batch ─▶ run once ─▶ insert cache ─▶ resolve
+//	admit + await slot ─▶ run once ─▶ insert cache ─▶ resolve
 //
-// A flight is one engine run answering every query attached to it:
-// same-(window, algo, source) joiners coalesce onto the leader's result,
-// different-source joiners (while the leader is still queued) batch into
-// one multi-source engine run sharing edge fetches; a new source arriving
-// after the batch seals leads its own flight. The conservation law
+// A flight is one engine run for one (window, algo, source) key: every
+// query for that key that arrives before the run resolves coalesces onto
+// the leader's result. A different source leads a flight of its own;
+// folding sources into one run does not pay in a software engine whose
+// cost is per (vertex, context), not per fetch. The conservation law
 // admitted == completed + failed + canceled + shed is preserved by
 // accounting every sharing participant exactly once, always in a single
 // mu-locked step: cache hits as admitted+completed on the spot, followers
@@ -25,7 +25,6 @@ package serve
 // followers behind a planned fault.
 import (
 	"context"
-	"runtime/debug"
 	"time"
 
 	"mega/internal/algo"
@@ -36,52 +35,23 @@ import (
 	"mega/internal/qcache"
 )
 
-// maxBatchSources bounds how many distinct sources one flight folds into
-// a single multi-source engine run; sources past the bound lead flights
-// of their own.
-const maxBatchSources = 8
-
-// RunMultiFunc evaluates several same-window, same-algo queries with
-// different sources as one batched engine run. It returns one snapshot
-// set per request, index-aligned with reqs. Implementations must honor
-// ctx and return typed megaerr errors; panics are contained by the
-// service. When Config.RunMulti is nil, different-source queries never
-// batch (they coalesce or run solo).
-type RunMultiFunc func(ctx context.Context, reqs []*Request) ([][][]float64, RunReport, error)
-
 // flightKey addresses the live flight serving one (window content,
 // algorithm, source) triple: every query for that triple coalesces onto
-// it. A multi-source flight is mapped under one key per batched source.
+// it.
 type flightKey struct {
 	win  uint64
 	algo algo.Kind
 	src  graph.VertexID
 }
 
-// gatherKey indexes the still-GATHERING flight for a (window content,
-// algorithm) pair — the one new sources may still batch into. Without
-// this second index a sealed flight for one source would force every
-// other source of the same window to run unshared; with it, each source
-// gets its own coalescible flight once batching is no longer possible.
-type gatherKey struct {
-	win  uint64
-	algo algo.Kind
-}
-
 // flight is one in-progress shared engine run. Fields are guarded by
 // Service.mu until done is closed; after the close, the result fields
-// (vals, rep, err, runTime, abandoned, and the sealed config) are
-// immutable and readable without the lock.
+// (vals, rep, err, runTime, abandoned) are immutable and readable without
+// the lock.
 type flight struct {
 	key flightKey
 	fp  engine.Fingerprint
-
-	// gathering is true while the leader still waits for a run slot; only
-	// then may different-source joiners extend the batch.
-	gathering bool
-	sources   []graph.VertexID
-	srcIdx    map[graph.VertexID]int
-	reqs      []*Request // index-aligned with sources; reqs[0] is the leader's
+	req *Request // the leader's
 
 	// refs counts the leader plus followers still awaiting resolution.
 	// The last departing participant unmaps the flight and cancels the
@@ -93,10 +63,7 @@ type flight struct {
 	done      chan struct{} // closed exactly once at resolution or abandonment
 	abandoned bool          // leader lost admission; followers must retry
 
-	multi  bool // sealed as a multi-source batch
-	seeded bool
-
-	vals    [][][]float64 // per source, per snapshot
+	vals    [][]float64 // per snapshot
 	rep     RunReport
 	err     error
 	runTime time.Duration
@@ -134,15 +101,15 @@ func (s *Service) submitShared(ctx context.Context, req *Request, cancel context
 		if vals, ok := s.qc.Lookup(key, fp); ok {
 			return s.resolveCacheHitLocked(req, vals, submitted)
 		}
-		fl, idx, mode := s.joinOrLeadLocked(fp, key, req)
+		fl, mode := s.joinOrLeadLocked(fp, key, req)
 		s.mu.Unlock()
 		switch mode {
 		case flightLead:
 			return s.leadFlight(ctx, req, cancel, fp, fl, submitted)
 		case flightSolo:
 			return s.submitSolo(ctx, req, submitted)
-		default: // follower: coalesced or batched
-			res, err, retry := s.awaitFlight(ctx, req, fl, idx, mode, submitted)
+		default: // follower
+			res, err, retry := s.awaitFlight(ctx, req, fl, submitted)
 			if !retry {
 				return res, err
 			}
@@ -155,73 +122,36 @@ const (
 	flightLead      = "lead"
 	flightSolo      = "solo"
 	flightCoalesced = "coalesced"
-	flightBatched   = "batched"
 )
 
 // joinOrLeadLocked attaches the request to the live flight for its
-// (window, algo, source) triple (coalesce), joins a still-gathering
-// flight of the same window as a new batched source, or creates a new
-// flight with the request as leader. Solo routing survives only for a
-// folded-key collision (same 64-bit key, different window content): the
-// resident flight must not be disturbed, and correctness costs one
-// unshared run. Called with s.mu held.
-func (s *Service) joinOrLeadLocked(fp engine.Fingerprint, key qcache.Key, req *Request) (*flight, int, string) {
+// (window, algo, source) triple (coalesce) or creates a new flight with the
+// request as leader. Solo routing survives only for a folded-key collision
+// (same 64-bit key, different window content): the resident flight must
+// not be disturbed, and correctness costs one unshared run. Called with
+// s.mu held.
+func (s *Service) joinOrLeadLocked(fp engine.Fingerprint, key qcache.Key, req *Request) (*flight, string) {
 	fkey := flightKey{win: key.Win, algo: req.Algo, src: req.Source}
 	if fl, ok := s.flights[fkey]; ok {
 		if !fl.fp.Equal(fp) {
-			return nil, 0, flightSolo
+			return nil, flightSolo
 		}
 		fl.refs++
 		s.coalesced++
 		s.cCoalesced.Inc()
-		return fl, fl.srcIdx[req.Source], flightCoalesced
+		return fl, flightCoalesced
 	}
-	gkey := gatherKey{win: key.Win, algo: req.Algo}
-	if fl, ok := s.gathering[gkey]; ok && fl.fp.Equal(fp) &&
-		fl.gathering && s.cfg.RunMulti != nil && len(fl.sources) < maxBatchSources {
-		// A source already in the batch owns a flights entry and coalesced
-		// above, so this join always introduces a new source.
-		idx := len(fl.sources)
-		fl.sources = append(fl.sources, req.Source)
-		fl.srcIdx[req.Source] = idx
-		fl.reqs = append(fl.reqs, req)
-		fl.refs++
-		s.flights[fkey] = fl
-		s.batched++
-		s.cBatched.Inc()
-		return fl, idx, flightBatched
-	}
-	fl := &flight{
-		key:       fkey,
-		fp:        fp,
-		gathering: true,
-		sources:   []graph.VertexID{req.Source},
-		srcIdx:    map[graph.VertexID]int{req.Source: 0},
-		reqs:      []*Request{req},
-		refs:      1,
-		done:      make(chan struct{}),
-	}
+	fl := &flight{key: fkey, fp: fp, req: req, refs: 1, done: make(chan struct{})}
 	s.flights[fkey] = fl
-	if cur, ok := s.gathering[gkey]; !ok || !cur.gathering || len(cur.sources) >= maxBatchSources {
-		s.gathering[gkey] = fl
-	}
-	return fl, 0, flightLead
+	return fl, flightLead
 }
 
-// unmapFlightLocked removes every map entry still pointing at fl — one
-// flights entry per batched source, plus its gathering slot. Identity
-// checks keep a collision-displaced or replaced entry from deleting a
-// newer flight. Called with s.mu held.
+// unmapFlightLocked removes fl's map entry if it still points at fl: the
+// identity check keeps a collision-displaced or replaced entry from
+// deleting a newer flight. Called with s.mu held.
 func (s *Service) unmapFlightLocked(fl *flight) {
-	for src := range fl.srcIdx {
-		k := flightKey{win: fl.key.win, algo: fl.key.algo, src: src}
-		if s.flights[k] == fl {
-			delete(s.flights, k)
-		}
-	}
-	gk := gatherKey{win: fl.key.win, algo: fl.key.algo}
-	if s.gathering[gk] == fl {
-		delete(s.gathering, gk)
+	if s.flights[fl.key] == fl {
+		delete(s.flights, fl.key)
 	}
 }
 
@@ -297,32 +227,6 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 	}
 	s.hQueueWait.Observe(s.now().Sub(submitted).Nanoseconds())
 
-	// Seal the batch: from here no new source may join (same-source
-	// coalescing stays open until resolution; a later new source leads
-	// its own flight, so the gathering slot is freed for it).
-	s.mu.Lock()
-	fl.gathering = false
-	fl.multi = len(fl.sources) > 1
-	if gk := (gatherKey{win: fl.key.win, algo: fl.key.algo}); s.gathering[gk] == fl {
-		delete(s.gathering, gk)
-	}
-	s.mu.Unlock()
-
-	if !fl.multi {
-		// Stable-vertex seeding: initialize the run from a cached converged
-		// CommonGraph solution of an overlapping window, when one exists.
-		if req.SeedBase == nil {
-			if base := s.qc.Seed(fp, uint32(req.Algo), uint32(req.Source)); base != nil {
-				req.SeedBase = base
-				fl.seeded = true
-				s.mu.Lock()
-				s.seeded++
-				s.cSeeded.Inc()
-				s.mu.Unlock()
-			}
-		}
-	}
-
 	// The run context is detached from the leader's: followers own the run
 	// as much as the leader does, so only the last participant to depart
 	// (or Close's straggler sweep, via s.active) cancels it.
@@ -338,7 +242,7 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 		if fl.err != nil {
 			return nil, fl.err
 		}
-		return s.flightResult(fl, 0, "", submitted), nil
+		return s.flightResult(fl, "", submitted), nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		fl.leaderGone = true
@@ -353,45 +257,23 @@ func (s *Service) leadFlight(ctx context.Context, req *Request, cancel context.C
 	}
 }
 
-// runFlight executes one sealed flight, inserts its results into the
-// cache, resolves every attached waiter, and releases the leader's run
+// runFlight executes one flight, inserts its result into the cache,
+// resolves every attached waiter, and releases the leader's run
 // slot. Runs on its own goroutine so the leader's departure cannot stall
 // followers.
 func (s *Service) runFlight(fl *flight, w *waiter, fp engine.Fingerprint, rctx context.Context, rcancel context.CancelFunc) {
 	defer rcancel()
 	start := s.now()
-	var vals3 [][][]float64
-	var rep RunReport
-	var runErr error
-	if fl.multi {
-		vals3, rep, runErr = s.runMultiContained(rctx, fl.reqs)
-		if runErr == nil && len(vals3) != len(fl.reqs) {
-			runErr = megaerr.Invalidf("serve: RunMulti returned %d results for %d requests", len(vals3), len(fl.reqs))
-		}
-	} else {
-		var vals [][]float64
-		vals, rep, runErr = s.runContained(rctx, fl.reqs[0])
-		if runErr == nil {
-			vals3 = [][][]float64{vals}
-		}
-	}
+	vals, rep, runErr := s.runContained(rctx, fl.req)
 	runTime := s.now().Sub(start)
 	s.hRunTime.Observe(runTime.Nanoseconds())
 	if runErr == nil {
-		for i, r := range fl.reqs {
-			var base []float64
-			if !fl.multi {
-				// Multi-source bases differ per source and are not reported;
-				// only solo runs donate seeding material.
-				base = rep.Base
-			}
-			s.qc.Insert(qcache.KeyFor(fp, uint32(r.Algo), uint32(r.Source)), fp, r.Tenant, vals3[i], base)
-		}
+		s.qc.Insert(qcache.KeyFor(fp, uint32(fl.req.Algo), uint32(fl.req.Source)), fp, fl.req.Tenant, vals, nil)
 	}
 
 	s.mu.Lock()
 	s.unmapFlightLocked(fl)
-	fl.vals, fl.rep, fl.err, fl.runTime = vals3, rep, runErr, runTime
+	fl.vals, fl.rep, fl.err, fl.runTime = vals, rep, runErr, runTime
 	s.engineRuns++
 	s.cEngineRuns.Inc()
 	outcome := runErr
@@ -408,7 +290,7 @@ func (s *Service) runFlight(fl *flight, w *waiter, fp engine.Fingerprint, rctx c
 // the sharing loop), or the follower's own context expiring. Followers
 // are accounted exactly once, always admission and terminal together in
 // one locked step, at the moment their outcome is known.
-func (s *Service) awaitFlight(ctx context.Context, req *Request, fl *flight, idx int, mode string, submitted time.Time) (*Result, error, bool) {
+func (s *Service) awaitFlight(ctx context.Context, req *Request, fl *flight, submitted time.Time) (*Result, error, bool) {
 	select {
 	case <-fl.done:
 		if fl.abandoned {
@@ -425,7 +307,7 @@ func (s *Service) awaitFlight(ctx context.Context, req *Request, fl *flight, idx
 		if fl.err != nil {
 			return nil, fl.err, false
 		}
-		return s.flightResult(fl, idx, mode, submitted), nil, false
+		return s.flightResult(fl, flightCoalesced, submitted), nil, false
 	case <-ctx.Done():
 		cause := megaerr.Canceled("serve: canceled while attached to a shared run", ctx.Err())
 		s.mu.Lock()
@@ -457,17 +339,12 @@ func (s *Service) resolveAbandoned(fl *flight) {
 }
 
 // flightResult builds one participant's Result from a resolved flight.
-// Every participant — leader included — gets its own deep copy: coalesced
-// followers share a source index, and the cache already owns a copy, so
-// no two callers may alias one array.
-func (s *Service) flightResult(fl *flight, idx int, mode string, submitted time.Time) *Result {
-	vals := make([][]float64, len(fl.vals[idx]))
-	for i, snap := range fl.vals[idx] {
+// Every participant — leader included — gets its own deep copy: the cache
+// already owns a copy, so no two callers may alias one array.
+func (s *Service) flightResult(fl *flight, mode string, submitted time.Time) *Result {
+	vals := make([][]float64, len(fl.vals))
+	for i, snap := range fl.vals {
 		vals[i] = append([]float64(nil), snap...)
-	}
-	engine := "sequential"
-	if fl.multi {
-		engine = "multi"
 	}
 	queueWait := s.now().Sub(submitted) - fl.runTime
 	if queueWait < 0 {
@@ -476,25 +353,12 @@ func (s *Service) flightResult(fl *flight, idx int, mode string, submitted time.
 	return &Result{
 		Values: vals,
 		Report: Report{
-			Engine:    engine,
+			Engine:    "sequential",
 			Attempts:  fl.rep.Attempts,
 			Resumed:   fl.rep.Resumed,
 			Cache:     mode,
-			Seeded:    fl.seeded,
-			Sources:   len(fl.sources),
 			QueueWait: queueWait,
 			RunTime:   fl.runTime,
 		},
 	}
-}
-
-// runMultiContained invokes RunMulti with the same panic containment as
-// runContained.
-func (s *Service) runMultiContained(ctx context.Context, reqs []*Request) (vals [][][]float64, rep RunReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &megaerr.WorkerPanicError{Shard: -1, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return s.cfg.RunMulti(ctx, reqs)
 }

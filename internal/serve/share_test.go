@@ -32,24 +32,6 @@ func shareWindow(t *testing.T) *evolve.Window {
 	return w
 }
 
-// overlapWindow builds a window sharing shareWindow's CommonGraph and
-// first batch history but diverging afterwards — the stable-vertex
-// seeding case.
-func overlapWindow(t *testing.T) *evolve.Window {
-	t.Helper()
-	initial := graph.EdgeList{
-		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2},
-	}.Normalize()
-	w, err := evolve.NewWindowFromParts(4, 3,
-		initial,
-		[]graph.EdgeList{{{Src: 2, Dst: 3, Weight: 1}}, {{Src: 3, Dst: 0, Weight: 4}}},
-		[]graph.EdgeList{nil, nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
 // bitRun is a stub whose fixed values include awkward bit patterns, so
 // cache round-trips are checked for Float64bits fidelity, not mere
 // float equality.
@@ -58,7 +40,7 @@ func bitRun() (RunFunc, *atomic.Int64) {
 	vals := [][]float64{{0, math.Inf(1), math.Float64frombits(0x3ff0000000000001), -0.0}}
 	return func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
 		calls.Add(1)
-		return vals, RunReport{Attempts: 1, Base: []float64{1, 2, 3, 4}}, nil
+		return vals, RunReport{Attempts: 1}, nil
 	}, &calls
 }
 
@@ -129,8 +111,7 @@ func TestShareIdenticalBurstSingleEngineRun(t *testing.T) {
 
 // TestShareMixedSourceBurstPerSourceSingleRun pins per-source flight
 // identity: concurrent queries for two sources of one window resolve in
-// exactly one engine run per source, under every interleaving (batching
-// is off — no RunMulti — so the sources cannot merge into one run).
+// exactly one engine run per source, under every interleaving.
 // Before flights were keyed per source, whichever source won the leader
 // race forced every query for the other source to run solo and uncached.
 func TestShareMixedSourceBurstPerSourceSingleRun(t *testing.T) {
@@ -467,142 +448,6 @@ func TestShareArrivalAfterLastDepartureLeadsFreshFlight(t *testing.T) {
 	}
 }
 
-// TestShareBatchedMultiSource proves the batching contract: concurrent
-// same-window, same-algo queries with different sources execute as ONE
-// multi-source engine run, each caller receiving its own source's values.
-func TestShareBatchedMultiSource(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	blocker, _ := blockingRun(started, release)
-
-	var multiCalls atomic.Int64
-	runMulti := func(ctx context.Context, reqs []*Request) ([][][]float64, RunReport, error) {
-		multiCalls.Add(1)
-		out := make([][][]float64, len(reqs))
-		for i, r := range reqs {
-			out[i] = [][]float64{{float64(r.Source) * 10}}
-		}
-		return out, RunReport{Attempts: 1}, nil
-	}
-	s, err := New(Config{Run: blocker, RunMulti: runMulti, Capacity: 1, QueueDepth: 8, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := shareWindow(t)
-
-	// A windowless (unshareable) request occupies the only slot, so the
-	// shared queries gather while queued.
-	hold := make(chan error, 1)
-	go func() {
-		_, err := s.Submit(context.Background(), Request{Label: "hold"})
-		hold <- err
-	}()
-	<-started
-
-	const n = 3
-	type out struct {
-		src graph.VertexID
-		res *Result
-		err error
-	}
-	outs := make(chan out, n)
-	for i := 0; i < n; i++ {
-		go func(src graph.VertexID) {
-			res, err := s.Submit(context.Background(), Request{Window: w, Algo: algo.SSSP, Source: src})
-			outs <- out{src, res, err}
-		}(graph.VertexID(i))
-	}
-	waitFor(t, "two sources to batch onto the leader", func() bool {
-		return s.Stats().BatchedQueries == 2
-	})
-	close(release)
-
-	batched := 0
-	for i := 0; i < n; i++ {
-		o := <-outs
-		if o.err != nil {
-			t.Fatalf("source %d = %v, want success", o.src, o.err)
-		}
-		if got := o.res.Values[0][0]; got != float64(o.src)*10 {
-			t.Errorf("source %d got value %v, want its own result %v", o.src, got, float64(o.src)*10)
-		}
-		if o.res.Report.Engine != "multi" || o.res.Report.Sources != n {
-			t.Errorf("source %d report = %+v, want a %d-source multi run", o.src, o.res.Report, n)
-		}
-		if o.res.Report.Cache == "batched" {
-			batched++
-		}
-	}
-	if batched != 2 {
-		t.Errorf("%d reports say batched, want 2 (leader reports none)", batched)
-	}
-	if err := <-hold; err != nil {
-		t.Fatalf("holding query = %v", err)
-	}
-	if n := multiCalls.Load(); n != 1 {
-		t.Errorf("RunMulti ran %d times, want exactly 1", n)
-	}
-	st := s.Stats()
-	// 1 holding run + 1 batched run; the acceptance counter: the three
-	// shared queries cost a single engine run.
-	if st.EngineRuns != 2 {
-		t.Errorf("EngineRuns = %d, want 2 (hold + one batched run)", st.EngineRuns)
-	}
-	if st.Admitted != n+1 || st.Completed != n+1 {
-		t.Errorf("stats = %+v, want %d admitted = completed", st, n+1)
-	}
-	mustClose(t, s)
-}
-
-// TestShareSeedFromOverlappingWindow checks stable-vertex seeding: a
-// query over a new window overlapping a cached one starts from the
-// cached converged base solution.
-func TestShareSeedFromOverlappingWindow(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	var seenSeed atomic.Pointer[[]float64]
-	run := func(ctx context.Context, req *Request) ([][]float64, RunReport, error) {
-		if req.SeedBase != nil {
-			sb := append([]float64(nil), req.SeedBase...)
-			seenSeed.Store(&sb)
-		}
-		return [][]float64{{1}}, RunReport{Attempts: 1, Base: []float64{5, 6, 7, 8}}, nil
-	}
-	s, err := New(Config{Run: run, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wA, wB := shareWindow(t), overlapWindow(t)
-
-	if _, err := s.Submit(context.Background(), Request{Window: wA, Algo: algo.SSSP, Source: 1}); err != nil {
-		t.Fatalf("donor Submit = %v", err)
-	}
-	res, err := s.Submit(context.Background(), Request{Window: wB, Algo: algo.SSSP, Source: 1})
-	if err != nil {
-		t.Fatalf("seeded Submit = %v", err)
-	}
-	if res.Report.Cache == "hit" {
-		t.Fatal("overlapping window hit the exact cache — windows are not distinct")
-	}
-	if !res.Report.Seeded {
-		t.Errorf("report = %+v, want Seeded", res.Report)
-	}
-	got := seenSeed.Load()
-	if got == nil || len(*got) != 4 || (*got)[0] != 5 {
-		t.Errorf("engine saw seed %v, want the donor's base [5 6 7 8]", got)
-	}
-	if st := s.Stats(); st.SeededQueries != 1 || st.Cache.SeedHits != 1 {
-		t.Errorf("stats = %+v / %+v, want one seeded query", st, st.Cache)
-	}
-	// A different source must not borrow the base.
-	if res2, err := s.Submit(context.Background(), Request{Window: wB, Algo: algo.SSSP, Source: 2}); err != nil {
-		t.Fatalf("other-source Submit = %v", err)
-	} else if res2.Report.Seeded {
-		t.Error("different source was seeded from another source's base")
-	}
-	mustClose(t, s)
-}
-
 // TestShareFaultPlanBypassesSharing: chaos queries must neither read nor
 // populate the cache, so injected failures cannot poison shared state.
 func TestShareFaultPlanBypassesSharing(t *testing.T) {
@@ -694,8 +539,8 @@ func TestSharePerTenantCacheBudget(t *testing.T) {
 }
 
 // TestShareConcurrentChurn is the sharing layer's soak: many goroutines
-// hammer a handful of (source, cancel) combinations through the cache,
-// coalescing, and batching paths at once; the conservation law and the
+// hammer a handful of (source, cancel) combinations through the cache
+// and coalescing paths at once; the conservation law and the
 // cache accounting audit must hold at Close. Run under -race.
 func TestShareConcurrentChurn(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
@@ -707,17 +552,9 @@ func TestShareConcurrentChurn(t *testing.T) {
 		case <-ctx.Done():
 			return nil, RunReport{Attempts: 1}, megaerr.Canceled("stub", ctx.Err())
 		}
-		return [][]float64{{float64(req.Source)}}, RunReport{Attempts: 1, Base: []float64{1}}, nil
+		return [][]float64{{float64(req.Source)}}, RunReport{Attempts: 1}, nil
 	}
-	runMulti := func(ctx context.Context, reqs []*Request) ([][][]float64, RunReport, error) {
-		calls.Add(1)
-		out := make([][][]float64, len(reqs))
-		for i, r := range reqs {
-			out[i] = [][]float64{{float64(r.Source)}}
-		}
-		return out, RunReport{Attempts: 1}, nil
-	}
-	s, err := New(Config{Run: run, RunMulti: runMulti, Capacity: 2, QueueDepth: 256, CacheBytes: 1 << 20})
+	s, err := New(Config{Run: run, Capacity: 2, QueueDepth: 256, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,10 +606,10 @@ func TestShareConcurrentChurn(t *testing.T) {
 // overflow: an extreme backlog times a large median must clamp to the
 // maximum hint, not wrap negative and fall out as the minimum.
 func TestRetryAfterEstimateOverflow(t *testing.T) {
-	if d := retryAfterEstimate(1, 1<<40, time.Hour); d != retryAfterMax {
+	if d := retryAfterEstimate(1, 1<<30, time.Hour); d != retryAfterMax {
 		t.Errorf("huge backlog hint = %v, want the %v clamp", d, retryAfterMax)
 	}
-	if d := retryAfterEstimate(1, 1<<62-2, time.Nanosecond); d != retryAfterMax {
+	if d := retryAfterEstimate(1, math.MaxInt-1, time.Nanosecond); d != retryAfterMax {
 		t.Errorf("overflow-boundary hint = %v, want the %v clamp", d, retryAfterMax)
 	}
 	if d := retryAfterEstimate(4, 8, 50*time.Millisecond); d <= 0 || d > retryAfterMax {

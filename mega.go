@@ -334,35 +334,6 @@ func EvaluateLimits(ctx context.Context, w *Window, k AlgorithmKind, source Vert
 	return out, nil
 }
 
-// EvaluateMultiSource answers several same-window, same-algorithm queries
-// with different source vertices in one engine run: the BOE schedule is
-// expanded so every source gets its own context block while the batch
-// streams each addition batch's edges (and their adjacency fetches) once
-// for all sources. Results are index-aligned with sources and
-// Float64bits-identical to running EvaluateContext per source. The query
-// service's multi-source batching is built on this.
-func EvaluateMultiSource(ctx context.Context, w *Window, k AlgorithmKind, sources []VertexID, lim Limits) ([][][]float64, error) {
-	s, err := sched.New(sched.BOE, w)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.NewMultiSource(w, algo.New(k), sources, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.RunContext(ctx, s, lim); err != nil {
-		return nil, err
-	}
-	out := make([][][]float64, len(sources))
-	for i := range sources {
-		out[i] = make([][]float64, w.NumSnapshots())
-		for snap := range out[i] {
-			out[i][snap] = eng.SnapshotValuesFor(s, i, snap)
-		}
-	}
-	return out, nil
-}
-
 // DefaultSimConfig returns the MEGA machine configuration (Table 3,
 // scaled); JetStreamSimConfig returns the streaming baseline's.
 func DefaultSimConfig() SimConfig   { return sim.DefaultConfig() }

@@ -98,12 +98,6 @@ type RecoverOptions struct {
 	// Checkpoint, when non-nil, resumes the first attempt from these
 	// checkpoint bytes instead of starting fresh.
 	Checkpoint []byte
-	// SeedBase, when non-nil, primes each fresh attempt with this
-	// precomputed converged CommonGraph solution so the engine skips its
-	// base solve (stable-vertex seeding). The values must be the exact
-	// converged solution for the query's algorithm, source, and
-	// CommonGraph content; a checkpoint restore overrides the seed.
-	SeedBase []float64
 	// Sink, when non-nil, switches periodic checkpoints on (see
 	// CheckpointEvery) and receives every one (e.g. to persist it
 	// atomically to disk). A sink error aborts the run.
@@ -142,9 +136,7 @@ type Recovery struct {
 	DurableResume bool
 	// Faults records the error of every failed attempt, in order.
 	Faults []string
-	// Base is the successful attempt's converged CommonGraph solution
-	// (nil on error). The query service caches it as seeding material for
-	// future overlapping queries.
+	// Base is always nil; kept for the frozen harness (benchmark/), removed by ROADMAP item 1.
 	Base []float64
 }
 
@@ -243,13 +235,6 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 			eng.SetCheckpointEvery(every)
 			eng.SetCheckpointSink(sink)
 		}
-		if opt.SeedBase != nil && lastCkpt == nil {
-			// Stable-vertex seeding: skip the base solve. Only on fresh
-			// starts — a checkpoint carries its own (post-seed) state.
-			if err := eng.SeedBase(opt.SeedBase); err != nil {
-				return nil, rec, err
-			}
-		}
 		if lastCkpt != nil {
 			if err := eng.Restore(lastCkpt); err != nil {
 				if fromStore {
@@ -287,7 +272,6 @@ func EvaluateRecover(ctx context.Context, w *Window, k AlgorithmKind, source Ver
 			for snap := range out {
 				out[snap] = eng.SnapshotValues(s, snap)
 			}
-			rec.Base = eng.BaseValues()
 			if opt.Store != nil {
 				// The query completed; its durable checkpoints are
 				// obsolete. Best effort — a failed delete only leaves an

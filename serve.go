@@ -105,10 +105,8 @@ type ServeOptions struct {
 	// CacheBytes, when > 0, enables the cross-query sharing layer: a
 	// result cache of this many bytes keyed on window content + algorithm
 	// + source (hits return Float64bits-identical snapshots with no engine
-	// run), single-flight coalescing of concurrent identical queries,
-	// multi-source batching of concurrent same-window queries, and
-	// stable-vertex seeding of new queries from cached converged values.
-	// Zero disables all of it. Per-tenant cache budgets come from
+	// run) and single-flight coalescing of concurrent identical queries.
+	// Zero disables both. Per-tenant cache budgets come from
 	// TenantConfig.CacheBytes.
 	CacheBytes int64
 
@@ -171,7 +169,6 @@ func NewQueryService(opt ServeOptions) (*QueryService, error) {
 			MaxRetries:      opt.MaxRetries,
 			Backoff:         opt.Backoff,
 			Limits:          opt.Limits,
-			SeedBase:        req.SeedBase,
 			Metrics:         opt.Metrics,
 		}
 		if id, ok := storeID(req); ok {
@@ -183,24 +180,11 @@ func NewQueryService(opt ServeOptions) (*QueryService, error) {
 		if rec != nil {
 			rep.Attempts = rec.Attempts
 			rep.Resumed = rec.DurableResume
-			rep.Base = rec.Base
 		}
 		return vals, rep, err
 	}
-	// Multi-source batches run the single-pass Multi engine directly: the
-	// expanded schedule has no checkpoint/resume story, so the recovery
-	// wrapper does not apply.
-	runMulti := func(ctx context.Context, reqs []*QueryRequest) ([][][]float64, serve.RunReport, error) {
-		sources := make([]VertexID, len(reqs))
-		for i, r := range reqs {
-			sources[i] = r.Source
-		}
-		vals, err := EvaluateMultiSource(ctx, reqs[0].Window, reqs[0].Algo, sources, opt.Limits)
-		return vals, serve.RunReport{Attempts: 1}, err
-	}
 	return serve.New(serve.Config{
 		Run:                 run,
-		RunMulti:            runMulti,
 		Capacity:            opt.Capacity,
 		QueueDepth:          opt.QueueDepth,
 		DefaultDeadline:     opt.DefaultDeadline,

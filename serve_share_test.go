@@ -57,37 +57,27 @@ func TestQueryServiceCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEvaluateMultiSourceMatchesPerSource pins the batched evaluation's
-// correctness floor: one multi-source run returns, for every source,
-// values bit-identical to that source's own single-source evaluation.
-func TestEvaluateMultiSourceMatchesPerSource(t *testing.T) {
-	w := soakWindow(t)
-	sources := []mega.VertexID{0, 1, 7}
-	got, err := mega.EvaluateMultiSource(context.Background(), w, mega.SSSP, sources, mega.Limits{})
+// TestQueryServiceDifferentSourcesRunSolo pins one source per flight:
+// eight concurrent misses for eight sources of one window on a two-slot
+// service each lead their own engine run — nothing folds them into one —
+// and each answer is bit-identical to that source's EvaluateContext. The
+// window is large enough (≈ 5 ms a run) that, were different sources
+// still batched, the six queued behind the two running would fold.
+func TestQueryServiceDifferentSourcesRunSolo(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	spec := mega.GraphSpec{
+		Name: "solo", Vertices: 1 << 12, Edges: 60_000,
+		A: 0.45, B: 0.15, C: 0.15, MaxWeight: 16, Seed: 5,
+	}
+	ev, err := mega.Evolve(spec, mega.EvolutionSpec{Snapshots: 16, BatchFraction: 0.01, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(sources) {
-		t.Fatalf("got %d result sets for %d sources", len(got), len(sources))
+	w, err := mega.NewWindow(ev)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, src := range sources {
-		want, err := mega.EvaluateContext(context.Background(), w, mega.SSSP, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalBits(t, fmt.Sprintf("source %d", src), want, got[i])
-	}
-}
-
-// TestQueryServiceBatchedMultiSource is the batching acceptance check:
-// with the only run slot held, N concurrent same-window same-algo
-// different-source queries gather on one flight and execute as a single
-// multi-source engine run — the engine-run counter shows exactly one run
-// for all N, and every caller gets its own source's bit-exact values.
-func TestQueryServiceBatchedMultiSource(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	w := soakWindow(t)
-	const n = 3
+	const n = 8
 	baselines := make([][][]float64, n)
 	for i := range baselines {
 		vals, err := mega.EvaluateContext(context.Background(), w, mega.SSSP, mega.VertexID(i))
@@ -96,151 +86,52 @@ func TestQueryServiceBatchedMultiSource(t *testing.T) {
 		}
 		baselines[i] = vals
 	}
-
-	s, err := mega.NewQueryService(mega.ServeOptions{
-		Capacity: 1, QueueDepth: 8, CacheBytes: 32 << 20,
-	})
+	s, err := mega.NewQueryService(mega.ServeOptions{Capacity: 2, QueueDepth: n, CacheBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A chaos query (fault plans bypass sharing) stalls in the only slot
-	// long enough for the shared queries to gather behind it.
-	op, err := mega.ParseFaultOp("engine.round:latency=2ms@1x1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	holdCtx := mega.WithFaultPlan(context.Background(), mega.NewFaultPlan(7).Add(op))
-	hold := make(chan error, 1)
-	go func() {
-		_, err := s.Submit(holdCtx, mega.QueryRequest{Window: w, Algo: mega.SSWP, Source: 9, Label: "hold"})
-		hold <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Running == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("holding query never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	type out struct {
-		src mega.VertexID
-		res *mega.QueryResult
-		err error
-	}
-	outs := make(chan out, n)
+	results := make([]*mega.QueryResult, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		go func(src mega.VertexID) {
-			res, err := s.Submit(context.Background(),
-				mega.QueryRequest{Window: w, Algo: mega.SSSP, Source: src})
-			outs <- out{src, res, err}
-		}(mega.VertexID(i))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = s.Submit(context.Background(),
+				mega.QueryRequest{Window: w, Algo: mega.SSSP, Source: mega.VertexID(i)})
+		}(i)
 	}
-	for s.Stats().BatchedQueries != n-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("batching never happened: stats = %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
+	begin := time.Now()
+	close(start)
+	wg.Wait()
+	wall := time.Since(begin)
+	var runTime time.Duration
 	for i := 0; i < n; i++ {
-		o := <-outs
-		if o.err != nil {
-			t.Fatalf("source %d = %v, want success", o.src, o.err)
+		if errs[i] != nil {
+			t.Fatalf("source %d = %v, want success", i, errs[i])
 		}
-		if o.res.Report.Engine != "multi" || o.res.Report.Sources != n {
-			t.Errorf("source %d report = %+v, want an %d-source multi run", o.src, o.res.Report, n)
-		}
-		identicalBits(t, fmt.Sprintf("batched source %d", o.src), baselines[o.src], o.res.Values)
+		identicalBits(t, fmt.Sprintf("source %d", i), baselines[i], results[i].Values)
+		runTime += results[i].Report.RunTime
 	}
-	if err := <-hold; err != nil {
-		t.Fatalf("holding query = %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close = %v", err)
 	}
 	st := s.Stats()
-	// One run for the holder, exactly one for all n shared queries.
-	if st.EngineRuns != 2 {
-		t.Errorf("EngineRuns = %d, want 2 (hold + one batched run for %d queries)", st.EngineRuns, n)
+	if st.EngineRuns != n || st.BatchedQueries != 0 {
+		t.Errorf("EngineRuns = %d, BatchedQueries = %d; want %d runs, none batched", st.EngineRuns, st.BatchedQueries, n)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
-		t.Fatalf("Close = %v", err)
+	if st.Admitted != st.Completed+st.Failed+st.Canceled+st.Shed {
+		t.Errorf("conservation violated: %+v", st)
 	}
-}
-
-// overlapPair hand-builds two windows with identical CommonGraphs and a
-// shared first-hop batch that diverge afterwards — the stable-vertex
-// seeding shape. Built from parts (not Evolve) so the overlap is exact.
-func overlapPair(t *testing.T) (*mega.Window, *mega.Window) {
-	t.Helper()
-	const n = 96
-	var initial mega.EdgeList
-	for i := 0; i < n; i++ {
-		initial = append(initial,
-			mega.Edge{Src: mega.VertexID(i), Dst: mega.VertexID((i + 1) % n), Weight: float64(i%7 + 1)},
-			mega.Edge{Src: mega.VertexID(i), Dst: mega.VertexID((i*5 + 2) % n), Weight: float64(i%3 + 1)})
-	}
-	initial = initial.Normalize()
-	shared := mega.EdgeList{{Src: 1, Dst: 40, Weight: 2}, {Src: 8, Dst: 77, Weight: 1}}
-	divergeA := mega.EdgeList{{Src: 3, Dst: 50, Weight: 3}}
-	divergeB := mega.EdgeList{{Src: 4, Dst: 60, Weight: 5}}
-	wA, err := mega.NewWindowFromParts(n, 3, initial,
-		[]mega.EdgeList{shared, divergeA}, []mega.EdgeList{nil, nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wB, err := mega.NewWindowFromParts(n, 3, initial,
-		[]mega.EdgeList{shared, divergeB}, []mega.EdgeList{nil, nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wA, wB
-}
-
-// TestQueryServiceSeededQueryBitIdentical is the seeding soundness
-// acceptance check: a query over a window overlapping a cached one starts
-// from the cached converged base solution — and still produces values
-// bit-identical to an unseeded direct evaluation, because equal
-// CommonGraph digests mean the skipped base solve would have produced
-// exactly the seeded bits.
-func TestQueryServiceSeededQueryBitIdentical(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
-	wA, wB := overlapPair(t)
-	want, err := mega.EvaluateContext(context.Background(), wB, mega.SSSP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := mega.NewQueryService(mega.ServeOptions{CacheBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(context.Background(), mega.QueryRequest{Window: wA, Algo: mega.SSSP, Source: 0}); err != nil {
-		t.Fatalf("donor Submit = %v", err)
-	}
-	res, err := s.Submit(context.Background(), mega.QueryRequest{Window: wB, Algo: mega.SSSP, Source: 0})
-	if err != nil {
-		t.Fatalf("seeded Submit = %v", err)
-	}
-	if res.Report.Cache == "hit" {
-		t.Fatal("overlapping windows collided in the exact cache — they are not distinct")
-	}
-	if !res.Report.Seeded {
-		t.Errorf("report = %+v, want Seeded (stable-vertex reuse)", res.Report)
-	}
-	identicalBits(t, "seeded query", want, res.Values)
-	if st := s.Stats(); st.SeededQueries != 1 {
-		t.Errorf("SeededQueries = %d, want 1", st.SeededQueries)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
+	t.Logf("%d sources: summed RunTime %v, wall %v", n, runTime, wall)
 }
 
 // TestQueryServiceSoakSharing extends the chaos soak to the sharing
-// layer: hundreds of concurrent duplicate and multi-source queries, a
+// layer: hundreds of concurrent duplicate and different-source queries, a
 // slice of them abandoning early, over a cache-enabled service. Asserts
 // no query is lost, successes stay bit-identical, the conservation law
 // survives follower accounting, sharing genuinely engaged, and every
@@ -388,6 +279,6 @@ func TestQueryServiceSoakSharing(t *testing.T) {
 	if audit := svc.Audit(); !audit.OK {
 		t.Errorf("accounting audit failed: %s", audit.Detail)
 	}
-	t.Logf("soak: %d queries, %d engine runs, %d hits, %d coalesced, %d batched, %d seeded",
-		total, st.EngineRuns, st.CacheHits, st.CoalescedQueries, st.BatchedQueries, st.SeededQueries)
+	t.Logf("soak: %d queries, %d engine runs, %d hits, %d coalesced",
+		total, st.EngineRuns, st.CacheHits, st.CoalescedQueries)
 }
